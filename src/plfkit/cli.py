@@ -22,7 +22,7 @@ from . import __version__
 from .analytics import concentration, efficiency_cdf, funds_time_series, track_efficiency
 from .engine import ReplayError, replay, replay_prefix
 from .events import EventParseError, EventRecord, StreamOrderError, read_events
-from .fixedpoint import ONE, ZERO, Dec, DecParseError
+from .fixedpoint import ONE, ZERO, Dec, DecOverflowError, DecParseError
 from .leverage import quote
 from .model import GlobalState, MissingPriceError
 from .risk import liquidable_accounts, price_sensitivity
@@ -32,7 +32,7 @@ from .scenarios import (
     generate,
     spec_from_dict,
 )
-from .snapshots import SnapshotError, load_snapshot, save_snapshot, verify_snapshot
+from .snapshots import SnapshotError, load_snapshot, read_snapshot, save_snapshot, verify_snapshot
 
 
 class CliError(Exception):
@@ -45,7 +45,7 @@ class CliError(Exception):
 def _dec_arg(text: str) -> Dec:
     try:
         return Dec(text)
-    except DecParseError as exc:
+    except (DecParseError, DecOverflowError) as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
@@ -413,8 +413,7 @@ def cmd_snapshot_save(args: argparse.Namespace) -> int:
 
 def cmd_snapshot_load(args: argparse.Namespace) -> int:
     try:
-        state = load_snapshot(args.snapshot)
-        meta = verify_snapshot(args.snapshot)
+        state, meta = read_snapshot(args.snapshot)
     except (SnapshotError, OSError) as exc:
         raise CliError(f"cannot load snapshot {args.snapshot}: {exc}") from None
     print(

@@ -8,11 +8,13 @@ stream.
 
 from __future__ import annotations
 
+import gc
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator
 
-from .fixedpoint import Dec, DecParseError
+from .fixedpoint import SCALE, Dec
 
 KINDS = frozenset(
     {
@@ -31,17 +33,12 @@ KINDS = frozenset(
     }
 )
 
-_ADDRESS_CHARS = frozenset("0123456789abcdef")
+_ADDRESS = re.compile("0x[0-9a-f]{40}")
 
 
 def is_valid_address(text: object) -> bool:
     """42-character lowercase 0x-prefixed hex account identifier."""
-    return (
-        isinstance(text, str)
-        and len(text) == 42
-        and text[:2] == "0x"
-        and all(c in _ADDRESS_CHARS for c in text[2:])
-    )
+    return isinstance(text, str) and _ADDRESS.fullmatch(text) is not None
 
 
 class EventParseError(ValueError):
@@ -94,7 +91,9 @@ class EventRecord:
 
 
 # Field specs per kind: (name, checker). Checkers parse/validate a raw JSON
-# value and return the normalized one, raising ValueError on bad input.
+# value and return the normalized one, raising ValueError (or the
+# ArithmeticError of an amount beyond the carrier) on bad input. Range
+# checks compare mantissas directly.
 
 
 def _dec(raw: object) -> Dec:
@@ -105,28 +104,28 @@ def _dec(raw: object) -> Dec:
 
 def _dec_nonneg(raw: object) -> Dec:
     value = _dec(raw)
-    if value.is_negative():
+    if value.mantissa < 0:
         raise ValueError("amount must be non-negative")
     return value
 
 
 def _dec_positive(raw: object) -> Dec:
     value = _dec(raw)
-    if value <= Dec(0):
+    if value.mantissa <= 0:
         raise ValueError("value must be positive")
     return value
 
 
 def _dec_fraction(raw: object) -> Dec:
     value = _dec(raw)
-    if value < Dec(0) or value > Dec(1):
+    if not 0 <= value.mantissa <= SCALE:
         raise ValueError("factor must lie in [0, 1]")
     return value
 
 
 def _dec_index(raw: object) -> Dec:
     value = _dec(raw)
-    if value < Dec(1):
+    if value.mantissa < SCALE:
         raise ValueError("index must be at least 1")
     return value
 
@@ -238,66 +237,96 @@ _SCHEMAS: dict[str, tuple[str | None, tuple[tuple[str, Any], ...]]] = {
 
 _KEY_FIELDS = ("block", "tx_index", "log_index")
 
+# The decoder's table: each kind's schema plus every key its lines must
+# carry, and nothing else.
+_DECODING = {
+    kind: (
+        market_field,
+        fields,
+        frozenset(_KEY_FIELDS + ("kind",) + ((market_field,) if market_field else ())
+                  + tuple(name for name, _ in fields)),
+    )
+    for kind, (market_field, fields) in _SCHEMAS.items()
+}
+
+_new_key = object.__new__
+_set_attr = object.__setattr__
+
 
 def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> EventRecord:
-    """Validate one flat JSON object against its kind's schema."""
+    """Validate one flat JSON object against its kind's schema.
+
+    Checks run in a fixed order and the first failure is reported: the
+    ordering triple, the kind, unexpected keys, the scoping field, then the
+    payload fields in schema order.
+    """
     if not isinstance(obj, dict):
         raise EventParseError("event must be a JSON object", line_number=line_number)
 
-    def fail(fieldname: str, message: str) -> EventParseError:
-        return EventParseError(message, line_number=line_number, field=fieldname)
-
-    key_parts = []
     for name in _KEY_FIELDS:
-        if name not in obj:
-            raise fail(name, "missing ordering field")
-        raw = obj[name]
-        if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
-            raise fail(name, "must be a non-negative integer")
-        key_parts.append(raw)
-    key = OrderingKey(*key_parts)
+        raw = obj.get(name)
+        if type(raw) is not int or raw < 0:  # else a plain non-negative int
+            if name not in obj:
+                raise EventParseError("missing ordering field", line_number=line_number, field=name)
+            if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
+                raise EventParseError(
+                    "must be a non-negative integer", line_number=line_number, field=name
+                )
+    # The triple is checked; build the key without checking it again.
+    key = _new_key(OrderingKey)
+    _set_attr(key, "block", obj["block"])
+    _set_attr(key, "tx_index", obj["tx_index"])
+    _set_attr(key, "log_index", obj["log_index"])
 
     kind = obj.get("kind")
     if kind is None:
-        raise fail("kind", "missing field")
-    if kind not in KINDS:
-        raise fail("kind", f"unknown event kind {kind!r}")
+        raise EventParseError("missing field", line_number=line_number, field="kind")
+    spec = _DECODING.get(kind) if isinstance(kind, str) else None
+    if spec is None:
+        raise EventParseError(
+            f"unknown event kind {kind!r}", line_number=line_number, field="kind"
+        )
+    market_field, fields, expected = spec
 
-    market_field, fields = _SCHEMAS[kind]
-    expected = set(_KEY_FIELDS) | {"kind"} | {name for name, _ in fields}
-    if market_field is not None:
-        expected.add(market_field)
-    unknown = set(obj) - expected
-    if unknown:
-        raise fail(sorted(unknown)[0], "unexpected field")
+    if not expected.issuperset(obj):
+        unexpected = sorted(set(obj) - expected)[0]
+        raise EventParseError("unexpected field", line_number=line_number, field=unexpected)
 
-    market: str | None = None
-    if market_field is not None:
-        if market_field not in obj:
-            raise fail(market_field, "missing field")
-        try:
-            market = _symbol(obj[market_field])
-        except ValueError as exc:
-            raise fail(market_field, str(exc)) from None
-
-    payload: dict[str, Any] = {}
-    for name, checker in fields:
-        if name not in obj:
-            raise fail(name, "missing field")
-        try:
+    name = market_field
+    try:
+        market = None if market_field is None else _symbol(obj[market_field])
+        payload: dict[str, Any] = {}
+        for name, checker in fields:
             payload[name] = checker(obj[name])
-        except (ValueError, DecParseError) as exc:
-            raise fail(name, str(exc)) from None
+    except KeyError:
+        raise EventParseError("missing field", line_number=line_number, field=name) from None
+    except (ValueError, ArithmeticError) as exc:
+        raise EventParseError(str(exc), line_number=line_number, field=name) from None
 
-    return EventRecord(key=key, kind=kind, market=market, payload=payload)
+    return EventRecord(key, kind, market, payload)
+
+
+_scan_once = json.JSONDecoder().scan_once
 
 
 def parse_event_line(line: str, line_number: int | None = None) -> EventRecord:
     """Parse one JSONL line into an EventRecord."""
+    # The scanner json.loads runs, minus its wrappers. A line it does not
+    # take whole (padding, any error) goes through json.loads, which accepts
+    # it or raises the exact error.
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise EventParseError(f"invalid JSON: {exc.msg}", line_number=line_number) from None
+        obj, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):
+        end = -1
+    if end != len(line):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise EventParseError(f"invalid JSON: {exc.msg}", line_number=line_number) from None
+        except (ValueError, RecursionError) as exc:
+            # An integer beyond int()'s digit limit, or nesting beyond the
+            # recursion limit.
+            raise EventParseError(f"invalid JSON: {exc}", line_number=line_number) from None
     return parse_event_obj(obj, line_number=line_number)
 
 
@@ -330,45 +359,52 @@ def serialize_event(event: EventRecord) -> str:
     return json.dumps(event_to_obj(event), sort_keys=True, separators=(",", ":"))
 
 
-@dataclass(frozen=True)
-class OrderViolation:
-    """First out-of-order pair found in a stream."""
-
-    index: int
-    previous: OrderingKey
-    key: OrderingKey
-
-
-def validate_stream_order(events: Iterable[EventRecord]) -> OrderViolation | None:
-    """Return the first ordering violation, or None for a sorted stream."""
-    previous: OrderingKey | None = None
-    for index, event in enumerate(events):
-        if previous is not None and event.key <= previous:
-            return OrderViolation(index=index, previous=previous, key=event.key)
-        previous = event.key
-    return None
-
-
 def iter_events(path: str) -> Iterator[EventRecord]:
     """Stream events from a JSONL file; blank lines are rejected."""
+    line_number = 0
     with open(path, "r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped:
-                raise EventParseError("blank line", line_number=line_number)
-            yield parse_event_line(stripped, line_number=line_number)
+        try:
+            for line_number, line in enumerate(handle, start=1):
+                stripped = line.strip()
+                if not stripped:
+                    raise EventParseError("blank line", line_number=line_number)
+                yield parse_event_line(stripped, line_number=line_number)
+        except UnicodeDecodeError as exc:
+            # The file is decoded a chunk at a time, and the chunk that failed
+            # starts at the line after the last one read.
+            line_number += 1 + exc.object.count(b"\n", 0, exc.start)
+            raise EventParseError(f"not UTF-8 text: {exc.reason}", line_number=line_number) from None
 
 
 def read_events(path: str, validate_order: bool = True) -> list[EventRecord]:
-    """Load a whole JSONL stream, optionally enforcing strict ordering."""
-    events = list(iter_events(path))
-    if validate_order:
-        violation = validate_stream_order(events)
-        if violation is not None:
-            raise StreamOrderError(
-                f"event {violation.index} key {violation.key} does not follow "
-                f"{violation.previous}"
-            )
+    """Load a whole JSONL stream, optionally enforcing strict ordering.
+
+    Every key must exceed the one before it, compared as raw
+    (block, tx_index, log_index) triples. The check runs as lines are
+    parsed, but a violation is raised only once the whole file has
+    parsed: a parse error on any line takes precedence.
+    """
+    events: list[EventRecord] = []
+    violation = None
+    previous: tuple[int, ...] = ()  # sorts before every triple
+    previous_key = None
+    # Parsing builds no reference cycles, so the cycle collector has nothing
+    # to find here; paused, it stops rescanning the growing list.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for event in iter_events(path):
+            key = event.key
+            current = (key.block, key.tx_index, key.log_index)
+            if current <= previous and validate_order and violation is None:
+                violation = f"event {len(events)} key {key} does not follow {previous_key}"
+            previous, previous_key = current, key
+            events.append(event)
+    finally:
+        if collecting:
+            gc.enable()
+    if violation is not None:
+        raise StreamOrderError(violation)
     return events
 
 

@@ -19,7 +19,13 @@ FRACTIONAL_DIGITS = 18
 # implementations and gives the overflow contract something to test.
 MANTISSA_BOUND = 2 ** 255
 
-_DEC_PATTERN = re.compile(r"^[+-]?\d+(?:\.(\d+))?$")
+# The whole decimal grammar. Character classes, not \d, so that only ASCII
+# digits match; fullmatch, not $, so that nothing may follow.
+_DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
+# 10**(18 - n) scales the digits of a literal with n fractional digits.
+_FRACTION_SCALE = tuple(10 ** (FRACTIONAL_DIGITS - n) for n in range(FRACTIONAL_DIGITS + 1))
+# Digits of the largest whole part the carrier holds; longer ones overflow.
+_MAX_WHOLE_DIGITS = len(str(MANTISSA_BOUND // SCALE))
 
 
 class DecOverflowError(ArithmeticError):
@@ -43,19 +49,25 @@ def _trunc_div(n: int, d: int) -> int:
 
 
 def _parse_mantissa(text: str) -> int:
-    match = _DEC_PATTERN.match(text)
-    if match is None:
+    """Mantissa of a decimal literal, checked against the carrier."""
+    if _DECIMAL.fullmatch(text) is None:
         raise DecParseError(f"not a decimal literal: {text!r}")
-    frac = match.group(1) or ""
+    whole, _, frac = text.partition(".")
     if len(frac) > FRACTIONAL_DIGITS:
         raise DecParseError(
             f"more than {FRACTIONAL_DIGITS} fractional digits: {text!r}"
         )
-    sign = -1 if text[0] == "-" else 1
-    digits = text.lstrip("+-")
-    whole = digits.split(".")[0]
-    mantissa = int(whole) * SCALE + int(frac.ljust(FRACTIONAL_DIGITS, "0") or "0")
-    return sign * mantissa
+    if len(whole) < _MAX_WHOLE_DIGITS:
+        # Too few digits to reach the bound. int() takes the sign, and the
+        # fraction's digits just continue the whole's.
+        return int(whole + frac) * _FRACTION_SCALE[len(frac)]
+    # Leading zeros aside, a whole part this long is beyond the carrier;
+    # checked before int() so that it never sees an arbitrarily long string.
+    digits = whole.lstrip("+-").lstrip("0") or "0"
+    if len(digits) > _MAX_WHOLE_DIGITS:
+        raise DecOverflowError("mantissa exceeds the signed 256-bit carrier")
+    sign = "-" if whole[0] == "-" else ""
+    return _checked(int(sign + digits + frac) * _FRACTION_SCALE[len(frac)])
 
 
 class Dec:
@@ -69,14 +81,15 @@ class Dec:
     __slots__ = ("mantissa",)
 
     def __init__(self, value: "Dec | int | str" = 0):
+        if isinstance(value, str):
+            self.mantissa = _parse_mantissa(value)
+            return
         if isinstance(value, Dec):
             mantissa = value.mantissa
         elif isinstance(value, bool):
             raise TypeError("cannot build a Dec from a bool")
         elif isinstance(value, int):
             mantissa = value * SCALE
-        elif isinstance(value, str):
-            mantissa = _parse_mantissa(value)
         else:
             raise TypeError(f"cannot build a Dec from {type(value).__name__}")
         self.mantissa = _checked(mantissa)

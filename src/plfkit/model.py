@@ -276,9 +276,12 @@ def state_from_dict(data: dict[str, Any]) -> GlobalState:
 
 def canonical_json_bytes(state: GlobalState) -> bytes:
     """Byte-deterministic serialization: sorted keys, compact, ASCII."""
-    return json.dumps(
-        state_to_dict(state), sort_keys=True, separators=(",", ":"), ensure_ascii=True
-    ).encode("ascii")
+    return encode_canonical(state_to_dict(state))
+
+
+def encode_canonical(data: Any) -> bytes:
+    """Canonical JSON bytes of plain data: sorted keys, compact, ASCII."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
 
 
 # -- Aggregate validation ----------------------------------------------------

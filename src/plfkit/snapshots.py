@@ -8,12 +8,13 @@ the cursor; loads verify it before handing the state back.
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import dataclass
 
 from .engine import state_digest
 from .events import OrderingKey
-from .model import GlobalState, state_from_dict, state_to_dict
+from .model import GlobalState, encode_canonical, state_from_dict, state_to_dict
 
 FORMAT_VERSION = 1
 
@@ -46,16 +47,18 @@ class SnapshotMeta:
 
 def save_snapshot(state: GlobalState, path: str) -> SnapshotMeta:
     """Write the state to a byte-deterministic snapshot file."""
-    digest = state_digest(state)
+    data = state_to_dict(state)
+    # The digest of the dict form is state_digest(state), without building
+    # that form a second time.
+    digest = hashlib.sha256(encode_canonical(data)).hexdigest()
     document = {
         "format_version": FORMAT_VERSION,
-        "cursor": state_to_dict(state)["cursor"],
+        "cursor": data["cursor"],
         "digest": digest,
-        "state": state_to_dict(state),
+        "state": data,
     }
-    payload = json.dumps(document, sort_keys=True, separators=(",", ":"), ensure_ascii=True)
     with open(path, "wb") as handle:
-        handle.write(payload.encode("ascii"))
+        handle.write(encode_canonical(document))
     return SnapshotMeta(format_version=FORMAT_VERSION, cursor=state.cursor, digest=digest)
 
 
@@ -79,8 +82,12 @@ def _read_document(path: str) -> dict:
     return document
 
 
-def load_snapshot(path: str) -> GlobalState:
-    """Load a snapshot, verifying its digest against the stored state."""
+def read_snapshot(path: str) -> tuple[GlobalState, SnapshotMeta]:
+    """Load a snapshot and its header: one read, one digest.
+
+    The digest is recomputed from the rebuilt state and must match the
+    stored one.
+    """
     document = _read_document(path)
     try:
         state = state_from_dict(document["state"])
@@ -89,12 +96,14 @@ def load_snapshot(path: str) -> GlobalState:
     actual = state_digest(state)
     if actual != document["digest"]:
         raise SnapshotDigestError(document["digest"], actual)
-    return state
+    return state, SnapshotMeta(format_version=FORMAT_VERSION, cursor=state.cursor, digest=actual)
+
+
+def load_snapshot(path: str) -> GlobalState:
+    """Load a snapshot, verifying its digest against the stored state."""
+    return read_snapshot(path)[0]
 
 
 def verify_snapshot(path: str) -> SnapshotMeta:
     """Check integrity without returning the state."""
-    state = load_snapshot(path)
-    return SnapshotMeta(
-        format_version=FORMAT_VERSION, cursor=state.cursor, digest=state_digest(state)
-    )
+    return read_snapshot(path)[1]

@@ -1,4 +1,4 @@
-"""Acceptance battery: eight frozen behaviors with explicit time budgets.
+"""Acceptance battery: nine frozen behaviors with explicit time budgets.
 
 Each test prints one pass/fail line (visible even under captured output)
 naming the criterion, the elapsed time, and the budget. Expected values
@@ -15,7 +15,7 @@ import pytest
 
 from plfkit.analytics import efficiency_cdf, track_efficiency
 from plfkit.engine import replay, state_digest
-from plfkit.events import read_events
+from plfkit.events import read_events, write_events
 from plfkit.fixedpoint import ONE, ZERO, Dec
 from plfkit.leverage import total_collateral, total_debt
 from plfkit.model import GlobalState, MarketState, Position, ProtocolParams
@@ -242,6 +242,18 @@ def test_8_replay_throughput(criterion):
     events = throughput_stream(100_000)
     state = GlobalState.fresh()
     with criterion(8, "replay-throughput", 10.0):
+        _, report = replay(state, events)
+    assert report.events_applied == 100_000
+    assert report.warnings == []
+    assert state_digest(state) == report.digest
+
+
+def test_9_parse_and_replay_throughput(criterion, tmp_path):
+    path = tmp_path / "throughput.jsonl"
+    write_events(str(path), throughput_stream(100_000))
+    state = GlobalState.fresh()
+    with criterion(9, "parse-and-replay-throughput", 5.5):
+        events = read_events(str(path))
         _, report = replay(state, events)
     assert report.events_applied == 100_000
     assert report.warnings == []

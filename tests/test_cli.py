@@ -119,6 +119,52 @@ class TestReplay:
         assert "error:" in err
 
 
+_MINT_LINE = {"block": 1, "tx_index": 0, "log_index": 0, "kind": "Mint", "market": "DAI",
+              "account": ACCT_A, "amount_underlying": "10", "amount_ctokens": "500"}
+
+# Malformed streams that once crashed the CLI with a traceback or parsed.
+_BAD_LINES = {
+    "list-kind": ({**_MINT_LINE, "kind": []}, "field 'kind': unknown event kind []"),
+    "object-kind": ({**_MINT_LINE, "kind": {}}, "field 'kind': unknown event kind {}"),
+    "amount-beyond-carrier": ({**_MINT_LINE, "amount_underlying": "1" + "0" * 80},
+                              "field 'amount_underlying': mantissa exceeds the signed 256-bit carrier"),
+    "full-width-digits": ({**_MINT_LINE, "amount_underlying": "\uff10.\uff15"},
+                          "field 'amount_underlying': not a decimal literal: '\uff10.\uff15'"),
+    "trailing-newline": ({**_MINT_LINE, "amount_underlying": "0.5\n"},
+                         "field 'amount_underlying': not a decimal literal: '0.5\\n'"),
+}
+
+_EVENTS_COMMANDS = [
+    ("replay",),
+    ("liquidable",),
+    ("sensitivity", "--asset", "DAI", "--shocks", "0.1"),
+    ("efficiency",),
+    ("concentration", "--side", "supply"),
+    ("timeseries",),
+]
+
+
+class TestMalformedStreams:
+    def test_bytes_that_are_not_utf8(self, capsys, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        code, out, err = run(capsys, "replay", "--events", str(path))
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: line 1: not UTF-8 text: invalid start byte\n"
+
+    @pytest.mark.parametrize("case", sorted(_BAD_LINES))
+    @pytest.mark.parametrize("command", _EVENTS_COMMANDS, ids=lambda c: c[0])
+    def test_error_line_and_exit_1(self, capsys, tmp_path, case, command):
+        obj, detail = _BAD_LINES[case]
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(obj) + "\n")
+        code, out, err = run(capsys, command[0], "--events", str(path), *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err == f"error: {path}: line 1: {detail}\n"
+
+
 class TestLiquidable:
     def test_underwater_account_row(self, capsys, files):
         code, out, err = run(capsys, "liquidable", "--events", files["hand"],
@@ -263,6 +309,14 @@ class TestLeverage:
         code, _, _ = run(capsys, "leverage", "--alpha", "-1", "--delta", "2",
                          "--rounds", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("alpha", ["1" + "0" * 80, "\uff11", "1\n"])
+    def test_alpha_outside_decimal_grammar_is_usage_error(self, capsys, alpha):
+        code, out, err = run(capsys, "leverage", "--alpha", alpha, "--delta", "2",
+                             "--rounds", "2")
+        assert code == 2
+        assert out == ""
+        assert "--alpha" in err
 
 
 class TestGenScenario:

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plfkit.events import (
     KINDS,
@@ -10,11 +12,11 @@ from plfkit.events import (
     StreamOrderError,
     event_to_obj,
     is_valid_address,
+    iter_events,
     parse_event_line,
     parse_event_obj,
     read_events,
     serialize_event,
-    validate_stream_order,
     write_events,
 )
 from plfkit.fixedpoint import Dec
@@ -202,23 +204,29 @@ class TestRoundTrip:
 
 
 class TestStreamOrder:
-    def test_sorted_stream_passes(self):
-        assert validate_stream_order(hand_fixture()) is None
+    """read_events enforces strictly increasing keys."""
 
-    def test_duplicate_key_is_a_violation(self):
+    @staticmethod
+    def _read(tmp_path, events):
+        path = tmp_path / "stream.jsonl"
+        write_events(str(path), events)
+        return read_events(str(path))
+
+    def test_sorted_stream_passes(self, tmp_path):
+        assert self._read(tmp_path, hand_fixture()) == hand_fixture()
+
+    def test_duplicate_key_is_a_violation(self, tmp_path):
         events = hand_fixture()
         events[5] = EventRecord(events[4].key, events[5].kind,
                                 events[5].market, events[5].payload)
-        violation = validate_stream_order(events)
-        assert violation is not None
-        assert violation.index == 5
+        with pytest.raises(StreamOrderError, match=r"^event 5 key "):
+            self._read(tmp_path, events)
 
-    def test_decreasing_key_is_a_violation(self):
+    def test_decreasing_key_is_a_violation(self, tmp_path):
         events = hand_fixture()
         events.append(make_event(1, 0, 0, "PriceUpdate", "DAI", price_usd=Dec(1)))
-        violation = validate_stream_order(events)
-        assert violation is not None
-        assert violation.index == len(events) - 1
+        with pytest.raises(StreamOrderError, match=rf"^event {len(events) - 1} key "):
+            self._read(tmp_path, events)
 
 
 class TestFileIO:
@@ -241,3 +249,255 @@ class TestFileIO:
         path.write_text(serialize_event(hand_fixture()[0]) + "\n\n")
         with pytest.raises(EventParseError, match="line 2"):
             read_events(str(path))
+
+
+# -- Every rejection branch, pinned ------------------------------------------
+
+DROP = object()  # marks a field to leave out of a line
+
+MINT = {"block": 3, "tx_index": 0, "log_index": 1, "kind": "Mint", "market": "DAI",
+        "account": ACCT_A, "amount_underlying": "10", "amount_ctokens": "500"}
+LIQUIDATE = {"block": 3, "tx_index": 0, "log_index": 1, "kind": "LiquidateBorrow",
+             "repay_market": "DAI", "borrower": ACCT_A, "liquidator": ACCT_B,
+             "repay_amount_underlying": "1", "collateral_market": "ETH", "seized_ctokens": "2"}
+ACCRUE = {"block": 3, "tx_index": 0, "log_index": 1, "kind": "AccrueInterest", "market": "DAI",
+          "new_borrow_index": "1.1", "new_exchange_rate": "0.02",
+          "interest_accumulated_underlying": "0"}
+
+
+def line(base, /, **changes):
+    merged = {**base, **changes}
+    return json.dumps({k: v for k, v in merged.items() if v is not DROP})
+
+
+def event(kind, **fields):
+    return line({"block": 3, "tx_index": 0, "log_index": 1, "kind": kind}, **fields)
+
+
+# (id, line, field, exact message); every line is parsed as line 7.
+ERROR_TABLE = [
+    ("not-an-object", "[1, 2]", None, "line 7: event must be a JSON object"),
+    ("json-string", '"Mint"', None, "line 7: event must be a JSON object"),
+    ("invalid-json", "{not json", None,
+     "line 7: invalid JSON: Expecting property name enclosed in double quotes"),
+    ("block-missing", line(MINT, block=DROP), "block",
+     "line 7: field 'block': missing ordering field"),
+    ("block-negative", line(MINT, block=-1), "block",
+     "line 7: field 'block': must be a non-negative integer"),
+    ("block-null", line(MINT, block=None), "block",
+     "line 7: field 'block': must be a non-negative integer"),
+    ("tx-index-bool", line(MINT, tx_index=True), "tx_index",
+     "line 7: field 'tx_index': must be a non-negative integer"),
+    ("log-index-string", line(MINT, log_index="1"), "log_index",
+     "line 7: field 'log_index': must be a non-negative integer"),
+    ("log-index-float", line(MINT, log_index=1.5), "log_index",
+     "line 7: field 'log_index': must be a non-negative integer"),
+    ("bad-block-before-missing-tx", line(MINT, block=-1, tx_index=DROP), "block",
+     "line 7: field 'block': must be a non-negative integer"),
+    ("kind-missing", line(MINT, kind=DROP), "kind", "line 7: field 'kind': missing field"),
+    ("kind-null", line(MINT, kind=None), "kind", "line 7: field 'kind': missing field"),
+    ("kind-unknown", line(MINT, kind="Transfer"), "kind",
+     "line 7: field 'kind': unknown event kind 'Transfer'"),
+    ("kind-number", line(MINT, kind=5), "kind", "line 7: field 'kind': unknown event kind 5"),
+    ("unexpected-field", line(MINT, extra="x"), "extra", "line 7: field 'extra': unexpected field"),
+    ("unexpected-first-sorted", line(MINT, zz=1, aa=2), "aa",
+     "line 7: field 'aa': unexpected field"),
+    ("unexpected-before-missing", line(MINT, account=DROP, extra=1), "extra",
+     "line 7: field 'extra': unexpected field"),
+    ("market-missing", line(MINT, market=DROP), "market", "line 7: field 'market': missing field"),
+    ("market-empty", line(MINT, market=""), "market",
+     "line 7: field 'market': expected a non-empty asset symbol"),
+    ("asset-number", event("PriceUpdate", asset=7, price_usd="1"), "asset",
+     "line 7: field 'asset': expected a non-empty asset symbol"),
+    ("repay-market-missing", line(LIQUIDATE, repay_market=DROP), "repay_market",
+     "line 7: field 'repay_market': missing field"),
+    ("market-before-payload", line(MINT, market="", account="0x1"), "market",
+     "line 7: field 'market': expected a non-empty asset symbol"),
+    ("payload-missing", line(MINT, amount_ctokens=DROP), "amount_ctokens",
+     "line 7: field 'amount_ctokens': missing field"),
+    ("payload-in-schema-order", line(MINT, account=DROP, amount_underlying="x"), "account",
+     "line 7: field 'account': missing field"),
+    ("account-short", line(MINT, account="0xABC"), "account",
+     "line 7: field 'account': expected a 42-character lowercase 0x hex address"),
+    ("account-uppercase", line(MINT, account="0x" + "AB" * 20), "account",
+     "line 7: field 'account': expected a 42-character lowercase 0x hex address"),
+    ("payer-number",
+     event("RepayBorrow", market="DAI", account=ACCT_A, payer=1, amount_underlying="1"), "payer",
+     "line 7: field 'payer': expected a 42-character lowercase 0x hex address"),
+    ("amount-number", line(MINT, amount_underlying=10), "amount_underlying",
+     "line 7: field 'amount_underlying': expected a decimal string"),
+    ("amount-null", line(MINT, amount_underlying=None), "amount_underlying",
+     "line 7: field 'amount_underlying': expected a decimal string"),
+    ("amount-exponent", line(MINT, amount_underlying="1e5"), "amount_underlying",
+     "line 7: field 'amount_underlying': not a decimal literal: '1e5'"),
+    ("amount-too-precise", line(MINT, amount_ctokens="0.0000000000000000001"), "amount_ctokens",
+     "line 7: field 'amount_ctokens': more than 18 fractional digits: '0.0000000000000000001'"),
+    ("amount-negative", line(MINT, amount_underlying="-1"), "amount_underlying",
+     "line 7: field 'amount_underlying': amount must be non-negative"),
+    ("rate-zero",
+     event("MarketListed", asset="DAI", initial_exchange_rate="0", initial_collateral_factor="0.5"),
+     "initial_exchange_rate", "line 7: field 'initial_exchange_rate': value must be positive"),
+    ("factor-above-one", event("NewCollateralFactor", market="DAI", new_factor="1.01"),
+     "new_factor", "line 7: field 'new_factor': factor must lie in [0, 1]"),
+    ("factor-negative", event("NewCollateralFactor", market="DAI", new_factor="-0.1"),
+     "new_factor", "line 7: field 'new_factor': factor must lie in [0, 1]"),
+    ("close-factor-above-one", event("NewCloseFactor", new_close_factor="2"),
+     "new_close_factor", "line 7: field 'new_close_factor': factor must lie in [0, 1]"),
+    ("index-below-one", line(ACCRUE, new_borrow_index="0.99"), "new_borrow_index",
+     "line 7: field 'new_borrow_index': index must be at least 1"),
+    ("accrued-negative", line(ACCRUE, interest_accumulated_underlying="-0.5"),
+     "interest_accumulated_underlying",
+     "line 7: field 'interest_accumulated_underlying': amount must be non-negative"),
+    ("price-zero", event("PriceUpdate", asset="DAI", price_usd="0"), "price_usd",
+     "line 7: field 'price_usd': value must be positive"),
+    ("collateral-market-empty", line(LIQUIDATE, collateral_market=""), "collateral_market",
+     "line 7: field 'collateral_market': expected a non-empty asset symbol"),
+    ("model-id-empty", event("NewInterestRateModel", market="DAI", model_id=""), "model_id",
+     "line 7: field 'model_id': expected a non-empty model identifier"),
+    ("params-not-object", event("NewInterestParams", market="DAI", params_blob="x"),
+     "params_blob", "line 7: field 'params_blob': expected an object of decimal strings"),
+    ("params-value-number",
+     event("NewInterestParams", market="DAI", params_blob={"a": "1", "b": 2}), "params_blob",
+     "line 7: field 'params_blob': expected a decimal string"),
+    ("params-value-malformed",
+     event("NewInterestParams", market="DAI", params_blob={"a": "1.2.3"}), "params_blob",
+     "line 7: field 'params_blob': not a decimal literal: '1.2.3'"),
+]
+
+
+class TestErrorTable:
+    @pytest.mark.parametrize("text,field,message", [case[1:] for case in ERROR_TABLE],
+                             ids=[case[0] for case in ERROR_TABLE])
+    def test_exact_error(self, text, field, message):
+        with pytest.raises(EventParseError) as excinfo:
+            parse_event_line(text, line_number=7)
+        assert str(excinfo.value) == message
+        assert excinfo.value.line_number == 7
+        assert excinfo.value.field == field
+
+    def test_blank_line(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(line(MINT) + "\n   \n")
+        with pytest.raises(EventParseError) as excinfo:
+            list(iter_events(str(path)))
+        assert str(excinfo.value) == "line 2: blank line"
+        assert excinfo.value.line_number == 2
+        assert excinfo.value.field is None
+
+    @pytest.mark.parametrize("lines_before", [0, 1, 5000])
+    def test_bytes_that_are_not_utf8(self, tmp_path, lines_before):
+        # Far enough in that the bad byte sits in a later chunk of the file.
+        path = tmp_path / "stream.jsonl"
+        good = "".join(line(MINT, block=i) + "\n" for i in range(lines_before))
+        path.write_bytes(good.encode() + b'{"kind": "\xff"}\n' + line(MINT).encode() + b"\n")
+        with pytest.raises(EventParseError) as excinfo:
+            read_events(str(path))
+        assert str(excinfo.value) == f"line {lines_before + 1}: not UTF-8 text: invalid start byte"
+        assert excinfo.value.field is None
+
+    def test_order_error_text(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(line(MINT, block=5) + "\n" + line(MINT, block=6) + "\n"
+                        + line(MINT, block=6) + "\n")
+        with pytest.raises(StreamOrderError) as excinfo:
+            read_events(str(path))
+        assert str(excinfo.value) == (
+            "event 2 key OrderingKey(block=6, tx_index=0, log_index=1) does not follow "
+            "OrderingKey(block=6, tx_index=0, log_index=1)"
+        )
+
+    def test_parse_error_on_later_line_wins_over_order_error(self, tmp_path):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(line(MINT, block=5) + "\n" + line(MINT, block=4) + "\n"
+                        + line(MINT, amount_underlying="x") + "\n")
+        with pytest.raises(EventParseError) as excinfo:
+            read_events(str(path))
+        assert excinfo.value.line_number == 3
+        assert excinfo.value.field == "amount_underlying"
+
+
+class TestRejectionRegressions:
+    """Inputs that once escaped the parser as other exception types or parsed."""
+
+    @pytest.mark.parametrize("kind", [[], {}, ["Mint"]])
+    def test_unhashable_kind(self, kind):
+        with pytest.raises(EventParseError) as excinfo:
+            parse_event_line(line(MINT, kind=kind), line_number=2)
+        assert excinfo.value.line_number == 2
+        assert excinfo.value.field == "kind"
+        assert str(excinfo.value) == f"line 2: field 'kind': unknown event kind {kind!r}"
+
+    def test_amount_beyond_carrier(self):
+        with pytest.raises(EventParseError) as excinfo:
+            parse_event_line(line(MINT, amount_underlying="1" + "0" * 80), line_number=2)
+        assert excinfo.value.line_number == 2
+        assert excinfo.value.field == "amount_underlying"
+        assert str(excinfo.value) == (
+            "line 2: field 'amount_underlying': mantissa exceeds the signed 256-bit carrier"
+        )
+
+    def test_params_value_beyond_carrier(self):
+        text = event("NewInterestParams", market="DAI", params_blob={"a": "9" * 80})
+        with pytest.raises(EventParseError) as excinfo:
+            parse_event_line(text, line_number=2)
+        assert excinfo.value.field == "params_blob"
+
+    @pytest.mark.parametrize("text", [
+        '{"block": ' + "1" * 5000 + "}",  # beyond int()'s digit limit
+        "[" * 100_000,  # beyond the recursion limit
+    ])
+    def test_json_the_decoder_gives_up_on(self, text):
+        with pytest.raises(EventParseError) as excinfo:
+            parse_event_line(text, line_number=2)
+        assert str(excinfo.value).startswith("line 2: invalid JSON: ")
+        assert excinfo.value.field is None
+
+    @pytest.mark.parametrize("text", [" " + line(MINT) + " ", "\ufeff" + line(MINT), line(MINT) + " x"])
+    def test_json_around_the_object_is_judged_like_json_loads(self, text):
+        try:
+            json.loads(text)
+        except json.JSONDecodeError as exc:
+            with pytest.raises(EventParseError) as excinfo:
+                parse_event_line(text, line_number=2)
+            assert str(excinfo.value) == f"line 2: invalid JSON: {exc.msg}"
+        else:
+            assert parse_event_line(text) == parse_event_line(line(MINT))
+
+    @pytest.mark.parametrize("amount", ["\uff10.\uff15", "\u0660.\u0665", "0.5\n", "0.5 ", "\u00b2"])
+    def test_non_ascii_or_padded_amount(self, amount):
+        with pytest.raises(EventParseError) as excinfo:
+            parse_event_line(line(MINT, amount_underlying=amount), line_number=2)
+        assert excinfo.value.field == "amount_underlying"
+        assert str(excinfo.value) == (
+            f"line 2: field 'amount_underlying': not a decimal literal: {amount!r}"
+        )
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+    | st.text(max_size=8) | st.sampled_from(["0", "1", "-1", "0.5", "1.1", "2", ACCT_A]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+event_keys = ["block", "tx_index", "log_index", "kind", "market", "asset", "repay_market",
+              "account", "payer", "borrower", "liquidator", "amount_underlying", "amount_ctokens",
+              "collateral_market", "seized_ctokens", "new_factor", "params_blob", "price_usd"]
+near_events = st.builds(
+    lambda base, changes: {**base, **changes},
+    st.sampled_from([MINT, LIQUIDATE, ACCRUE]),
+    st.dictionaries(st.sampled_from(event_keys) | st.sampled_from(sorted(KINDS)),
+                    json_values | st.sampled_from(sorted(KINDS)), max_size=3),
+)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(json_values | near_events)
+    def test_only_event_parse_errors_escape(self, value):
+        text = json.dumps(value)
+        try:
+            parsed = parse_event_line(text, line_number=1)
+        except EventParseError as exc:
+            assert exc.line_number == 1
+        else:
+            assert parse_event_line(serialize_event(parsed)) == parsed

@@ -58,6 +58,44 @@ class TestConstruction:
         with pytest.raises(DecParseError):
             Dec("0.0000000000000000001")  # 19 digits
 
+    @pytest.mark.parametrize(
+        "bad",
+        ["\uff10.\uff15", "\u0660.\u0665", "\u00b2", "0.5\n", "\n0.5", " 0.5", "1_000", "1.5_0", "--1", "+"],
+    )
+    def test_parse_accepts_only_ascii_digits(self, bad):
+        # Only [+-]?[0-9]+(.[0-9]{1,18})? is a decimal: no other Unicode
+        # digits, no whitespace (not even a trailing newline), no separators.
+        with pytest.raises(DecParseError) as excinfo:
+            Dec(bad)
+        assert str(excinfo.value) == f"not a decimal literal: {bad!r}"
+
+    def test_parse_error_messages(self):
+        with pytest.raises(DecParseError) as excinfo:
+            Dec("1.2.3")
+        assert str(excinfo.value) == "not a decimal literal: '1.2.3'"
+        with pytest.raises(DecParseError) as excinfo:
+            Dec("-0.0000000000000000001")
+        assert str(excinfo.value) == "more than 18 fractional digits: '-0.0000000000000000001'"
+
+    @pytest.mark.parametrize("sign", ["", "+", "-"])
+    def test_parse_matches_exact_rational(self, sign):
+        for text in ["0", "7", "0.5", "12.000000000000000001", "000123.4500", "99999.999999999999999999"]:
+            whole, _, frac = (sign + text).lstrip("+-").partition(".")
+            expected = int(whole) * SCALE + int(frac.ljust(18, "0") or "0")
+            assert Dec(sign + text).mantissa == (-expected if sign == "-" else expected)
+
+    def test_parse_beyond_carrier_overflows(self):
+        with pytest.raises(DecOverflowError):
+            Dec("1" + "0" * 80)
+        with pytest.raises(DecOverflowError):
+            Dec("-" + "9" * 5000)
+        # Leading zeros do not count towards the carrier.
+        assert Dec("0" * 5000 + "1.5") == Dec("1.5")
+        assert Dec("-" + "0" * 5000 + ".25") == Dec("-0.25")
+        assert Dec("+" + "0" * 5000) == ZERO
+        bound_whole = str((MANTISSA_BOUND - 1) // SCALE)
+        assert Dec(bound_whole).mantissa == int(bound_whole) * SCALE
+
     def test_rejects_float_and_bool(self):
         with pytest.raises(TypeError):
             Dec(1.5)

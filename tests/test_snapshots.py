@@ -1,7 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
+from plfkit import snapshots
+from plfkit.cli import main
 from plfkit.engine import replay, state_digest
 from plfkit.events import OrderingKey
 from plfkit.model import GlobalState
@@ -11,6 +14,7 @@ from plfkit.snapshots import (
     SnapshotError,
     SnapshotVersionError,
     load_snapshot,
+    read_snapshot,
     save_snapshot,
     verify_snapshot,
 )
@@ -125,3 +129,56 @@ class TestCorruption:
         }))
         with pytest.raises(SnapshotError, match="malformed"):
             load_snapshot(str(path))
+
+
+class TestWorkDoneOnce:
+    """Each snapshot command reads the file once and computes one digest."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counts = Counter()
+
+        def counted(name):
+            original = getattr(snapshots, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(snapshots, name, wrapper)
+
+        for name in ("_read_document", "state_digest", "state_to_dict", "state_from_dict"):
+            counted(name)
+        return counts
+
+    @pytest.fixture
+    def snap(self, replayed_state, tmp_path):
+        path = str(tmp_path / "state.snap")
+        save_snapshot(replayed_state, path)
+        return path
+
+    @pytest.mark.parametrize("command", ["load", "verify"])
+    def test_cli_reads_and_digests_once(self, snap, calls, capsys, command):
+        assert main(["snapshot", command, "--snapshot", snap]) == 0
+        assert calls == {"_read_document": 1, "state_from_dict": 1, "state_digest": 1}
+
+    def test_save_builds_the_dict_form_once(self, replayed_state, tmp_path, calls):
+        meta = save_snapshot(replayed_state, str(tmp_path / "again.snap"))
+        assert calls == {"state_to_dict": 1}
+        assert meta.digest == state_digest(replayed_state)
+
+    def test_stored_digest_still_checked(self, snap, calls):
+        with open(snap) as handle:
+            document = json.load(handle)
+        document["digest"] = "0" * 64
+        with open(snap, "w") as handle:
+            json.dump(document, handle)
+        with pytest.raises(SnapshotDigestError):
+            read_snapshot(snap)
+        assert calls["state_digest"] == 1
+
+    def test_read_returns_state_and_meta(self, snap, replayed_state):
+        state, meta = read_snapshot(snap)
+        assert meta == verify_snapshot(snap)
+        assert meta.digest == state_digest(state) == state_digest(replayed_state)
+        assert meta.cursor == state.cursor == replayed_state.cursor

@@ -20,7 +20,7 @@ from typing import Any, Sequence
 
 from . import __version__
 from .analytics import concentration, efficiency_cdf, funds_time_series, track_efficiency
-from .engine import ReplayError, replay, replay_prefix
+from .engine import ReplayError, TransitionError, replay, replay_prefix
 from .events import EventParseError, EventRecord, StreamOrderError, read_events
 from .fixedpoint import ONE, ZERO, Dec, DecOverflowError, DecParseError
 from .leverage import quote
@@ -211,7 +211,7 @@ def cmd_liquidable(args: argparse.Namespace) -> int:
     state = _state_from_args(args)
     try:
         unhealthy = liquidable_accounts(state)
-    except MissingPriceError as exc:
+    except (MissingPriceError, DecOverflowError) as exc:
         raise CliError(str(exc)) from None
     columns = (
         "account",
@@ -242,7 +242,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
         raise CliError(f"no market listed for asset {args.asset!r}")
     try:
         table = price_sensitivity(state, args.asset, args.shocks)
-    except MissingPriceError as exc:
+    except (MissingPriceError, DecOverflowError) as exc:
         raise CliError(str(exc)) from None
     columns = ("shock", "liquidable_accounts", "liquidable_collateral_usd")
     rows = [
@@ -264,7 +264,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     state = GlobalState.fresh()
     try:
         timeline = track_efficiency(state, events, full_reeval=args.full_reeval)
-    except (ReplayError, MissingPriceError) as exc:
+    except (TransitionError, MissingPriceError, DecOverflowError) as exc:
         raise CliError(str(exc)) from None
     for warning in timeline.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -279,7 +279,7 @@ def cmd_concentration(args: argparse.Namespace) -> int:
     state = _state_from_args(args)
     try:
         report = concentration(state, args.side, args.top)
-    except MissingPriceError as exc:
+    except (MissingPriceError, DecOverflowError) as exc:
         raise CliError(str(exc)) from None
     print(
         f"side={report.side} total_usd={report.total_usd} "
@@ -300,7 +300,7 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
     state = GlobalState.fresh()
     try:
         rows_out = funds_time_series(state, events, stride=args.stride)
-    except (ReplayError, MissingPriceError) as exc:
+    except (TransitionError, MissingPriceError, DecOverflowError) as exc:
         raise CliError(str(exc)) from None
     columns = ("block", "supplied_usd", "borrowed_usd", "locked_usd")
     rows = [

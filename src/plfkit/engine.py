@@ -192,13 +192,14 @@ def apply_event(state: GlobalState, event: EventRecord) -> list[str]:
                 f"redeem of {ctokens} ctokens exceeds balance {held} "
                 f"for {payload['account']}",
             )
-        assert position is not None
-        position.ctoken_balance = position.ctoken_balance - ctokens
-        market.total_ctoken_supply = market.total_ctoken_supply - ctokens
-        if market.total_ctoken_supply.is_negative():
-            raise TransitionError(
-                event.key, f"market {event.market!r} ctoken supply would go negative"
-            )
+        # No position means a redeem of zero: nothing moves.
+        if position is not None:
+            position.ctoken_balance = position.ctoken_balance - ctokens
+            market.total_ctoken_supply = market.total_ctoken_supply - ctokens
+            if market.total_ctoken_supply.is_negative():
+                raise TransitionError(
+                    event.key, f"market {event.market!r} ctoken supply would go negative"
+                )
 
     elif kind == "Borrow":
         market = _market(state, event, event.market)
@@ -232,8 +233,8 @@ def apply_event(state: GlobalState, event: EventRecord) -> list[str]:
             )
 
         _repay(state, event, warnings, repay_symbol, borrower, payload["repay_amount_underlying"])
-        assert borrower_coll is not None
-        borrower_coll.ctoken_balance = borrower_coll.ctoken_balance - seized
+        if borrower_coll is not None:  # else the seizure is zero
+            borrower_coll.ctoken_balance = borrower_coll.ctoken_balance - seized
         liquidator_coll = state.position(liquidator, collateral_symbol, create=True)
         assert liquidator_coll is not None
         liquidator_coll.ctoken_balance = liquidator_coll.ctoken_balance + seized

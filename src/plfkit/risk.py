@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fixedpoint import ONE, ZERO, Dec
-from .model import GlobalState, MissingPriceError
+from .fixedpoint import ONE, ZERO, Dec, DecOverflowError, checked, trunc_mul
+from .model import GlobalState, MarketState, MissingPriceError, Position
 
 
 @dataclass(frozen=True)
@@ -32,6 +32,66 @@ class AccountHealth:
 
 _EMPTY_HEALTH = AccountHealth(ZERO, ZERO, ZERO, ZERO, None)
 
+# power, borrow value, collateral value, unpriced terms, missing price
+_Sums = tuple[int, int, int, tuple[int, int, int] | None, str | None]
+
+
+def _sums(
+    markets: Mapping[str, MarketState],
+    holdings: Mapping[str, Position],
+    prices: Mapping[str, Dec],
+    unpriced: str | None = None,
+) -> _Sums:
+    """One account's collateral power, borrow value and collateral value.
+
+    Sums are mantissas, built position by position in holdings order with
+    Dec's truncation and carrier check at every product and partial sum.
+    The market ``unpriced`` stays out of the sums; its terms come back
+    unpriced as (ctokens * rate, that times the factor, accrued borrow),
+    or None without a non-empty position there. A price missing before
+    those terms raises MissingPriceError. One missing after them stops the
+    sums where they are and comes back as the last element, for the
+    caller to raise once it has priced the terms.
+    """
+    power = borrow = collateral = 0
+    terms = None
+    for symbol, position in holdings.items():
+        if position.is_empty():
+            continue
+        market = markets[symbol]
+        if symbol != unpriced:
+            price = prices.get(symbol)
+            if price is None:
+                if terms is None:
+                    raise MissingPriceError(symbol)
+                return power, borrow, collateral, terms, symbol
+        base = trunc_mul(position.ctoken_balance.mantissa, market.exchange_rate.mantissa)
+        power_base = trunc_mul(base, market.collateral_factor.mantissa)
+        accrued = position.accrued_borrow(market.borrow_index).mantissa
+        if symbol == unpriced:
+            terms = (base, power_base, accrued)
+            continue
+        collateral = checked(collateral + trunc_mul(base, price.mantissa))
+        power = checked(power + trunc_mul(power_base, price.mantissa))
+        borrow = checked(borrow + trunc_mul(accrued, price.mantissa))
+    return power, borrow, collateral, terms, None
+
+
+def _at_price(sums: _Sums, price: int) -> tuple[int, int, int]:
+    """Power, borrow value and collateral value from ``_sums``, with the
+    market it left unpriced now priced at ``price`` (a mantissa)."""
+    power, borrow, collateral, terms, missing = sums
+    if terms is not None:
+        base, power_base, accrued = terms
+        if base:
+            collateral = checked(collateral + trunc_mul(base, price))
+            power = checked(power + trunc_mul(power_base, price))
+        if accrued:
+            borrow = checked(borrow + trunc_mul(accrued, price))
+    if missing is not None:
+        raise MissingPriceError(missing)
+    return power, borrow, collateral
+
 
 def _health(
     state: GlobalState, account: str, prices: Mapping[str, Dec]
@@ -39,30 +99,15 @@ def _health(
     holdings = state.participants.get(account)
     if not holdings:
         return _EMPTY_HEALTH
-    power = ZERO
-    borrow_value = ZERO
-    collateral_value = ZERO
-    for symbol, position in holdings.items():
-        if position.is_empty():
-            continue
-        market = state.markets[symbol]
-        price = prices.get(symbol)
-        if price is None:
-            raise MissingPriceError(symbol)
-        if not position.ctoken_balance.is_zero():
-            base = position.ctoken_balance * market.exchange_rate
-            collateral_value = collateral_value + base * price
-            power = power + (base * market.collateral_factor) * price
-        if not position.borrow_principal.is_zero():
-            accrued = position.accrued_borrow(market.borrow_index)
-            borrow_value = borrow_value + accrued * price
-    ratio = None if borrow_value.is_zero() else power / borrow_value
+    power, borrow, collateral, _, _ = _sums(state.markets, holdings, prices)
+    power_usd = Dec.from_mantissa(power)
+    borrow_usd = Dec.from_mantissa(borrow)
     return AccountHealth(
-        collateral_power_usd=power,
-        borrow_value_usd=borrow_value,
-        surplus_usd=power - borrow_value,
-        collateral_value_usd=collateral_value,
-        ratio=ratio,
+        collateral_power_usd=power_usd,
+        borrow_value_usd=borrow_usd,
+        surplus_usd=power_usd - borrow_usd,
+        collateral_value_usd=Dec.from_mantissa(collateral),
+        ratio=None if borrow == 0 else power_usd / borrow_usd,
     )
 
 
@@ -172,29 +217,52 @@ def price_sensitivity(
     Each shock s replaces the asset's price with price * (1 - s); rows
     report how many accounts turn liquidable and their unweighted
     collateral value at shocked prices. The state is never modified.
+
+    One pass over the accounts: each is valued once without the shocked
+    asset, and each shock then prices only the shocked asset's terms of
+    the accounts holding it. Truncation and carrier checks are those of a
+    full valuation per shock, and a failure is the one that valuation
+    would meet first: at the earliest failing shock, the first account in
+    address order. The ratio is not computed, so it cannot overflow here.
     """
     base_price = state.price_table.get(symbol)
     for shock in shocks:
         if shock < ZERO or shock >= ONE:
             raise ValueError("shocks must lie in [0, 1)")
-    rows: list[SensitivityRow] = []
-    accounts = sorted(state.participants)
-    for shock in shocks:
-        shocked = dict(state.price_table.prices)
-        shocked[symbol] = base_price * (ONE - shock)
-        count = 0
-        exposure = ZERO
-        for account in accounts:
-            health = _health(state, account, shocked)
-            if health.liquidable:
-                count += 1
-                exposure = exposure + health.collateral_value_usd
-        rows.append(
-            SensitivityRow(
-                shock=shock, liquidable_accounts=count, liquidable_collateral_usd=exposure
-            )
+    if not shocks:
+        return []
+    prices = [(base_price * (ONE - shock)).mantissa for shock in shocks]
+    counts = [0] * len(shocks)
+    exposures = [0] * len(shocks)
+    limit, failure = len(shocks), None  # rows before the earliest failing shock
+    for _, holdings in sorted(state.participants.items()):
+        sums = _sums(state.markets, holdings, state.price_table.prices, symbol)
+        power, borrow, collateral, terms, _ = sums
+        if terms is None and checked(power - borrow) >= 0:
+            continue  # solvent at every shock
+        for row in range(limit):
+            try:
+                if terms is not None:
+                    power, borrow, collateral = _at_price(sums, prices[row])
+                    if checked(power - borrow) >= 0:
+                        continue
+                counts[row] += 1
+                exposures[row] = checked(exposures[row] + collateral)
+            except (DecOverflowError, MissingPriceError) as exc:
+                if row == 0:
+                    raise
+                limit, failure = row, exc
+                break
+    if failure is not None:
+        raise failure
+    return [
+        SensitivityRow(
+            shock=shock,
+            liquidable_accounts=count,
+            liquidable_collateral_usd=Dec.from_mantissa(exposure),
         )
-    return rows
+        for shock, count, exposure in zip(shocks, counts, exposures)
+    ]
 
 
 def ratio_buckets(state: GlobalState, thresholds: Sequence[Dec]) -> dict[str, Dec]:

@@ -165,6 +165,70 @@ class TestMalformedStreams:
         assert err == f"error: {path}: line 1: {detail}\n"
 
 
+def _write_lines(path, objs) -> str:
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in objs))
+    return str(path)
+
+
+_DAI_LISTED = {"block": 1, "tx_index": 0, "log_index": 0, "kind": "MarketListed", "asset": "DAI",
+               "initial_exchange_rate": "1", "initial_collateral_factor": "0.5"}
+
+
+def _redeem_line(block: int, ctokens: str) -> dict:
+    return {"block": block, "tx_index": 0, "log_index": 0, "kind": "Redeem", "market": "DAI",
+            "account": ACCT_A, "amount_underlying": ctokens, "amount_ctokens": ctokens}
+
+
+class TestValuationOverflow:
+    """A state that replays cleanly but whose valuation leaves the carrier."""
+
+    @pytest.fixture
+    def stream(self, tmp_path):
+        huge = "9" * 57
+        return _write_lines(tmp_path / "huge.jsonl", [
+            _DAI_LISTED,
+            {"block": 2, "tx_index": 0, "log_index": 0, "kind": "PriceUpdate", "asset": "DAI",
+             "price_usd": huge},
+            {"block": 3, "tx_index": 0, "log_index": 0, "kind": "Mint", "market": "DAI",
+             "account": ACCT_A, "amount_underlying": huge, "amount_ctokens": huge},
+        ])
+
+    def test_replay_succeeds(self, capsys, stream):
+        code, _, err = run(capsys, "replay", "--events", stream)
+        assert code == 0
+        assert err == ""
+
+    @pytest.mark.parametrize("command", [
+        ("liquidable",),
+        ("sensitivity", "--asset", "DAI", "--shocks", "0,0.5"),
+        ("concentration", "--side", "supply"),
+        ("efficiency",),
+        ("timeseries",),
+    ], ids=lambda c: c[0])
+    def test_valuation_ends_in_error_line(self, capsys, stream, command):
+        code, out, err = run(capsys, command[0], "--events", stream, *command[1:])
+        assert code == 1
+        assert out == ""
+        assert err == "error: mantissa exceeds the signed 256-bit carrier\n"
+
+
+class TestInvalidTransition:
+    @pytest.mark.parametrize("command", ["replay", "efficiency", "timeseries"])
+    def test_overdrawn_redeem_ends_in_error_line(self, capsys, tmp_path, command):
+        stream = _write_lines(tmp_path / "overdraw.jsonl", [_DAI_LISTED, _redeem_line(2, "5")])
+        code, out, err = run(capsys, command, "--events", stream)
+        assert code == 1
+        assert out == ""
+        assert err == f"error: event 2:0:0: redeem of 5 ctokens exceeds balance 0 for {ACCT_A}\n"
+
+    @pytest.mark.parametrize("command", ["replay", "efficiency", "timeseries"])
+    def test_zero_redeem_without_position_is_applied(self, capsys, tmp_path, command):
+        stream = _write_lines(tmp_path / "zero.jsonl", [_DAI_LISTED, _redeem_line(2, "0")])
+        code, _, err = run(capsys, command, "--events", stream)
+        assert code == 0
+        assert err == ""
+
+
 class TestLiquidable:
     def test_underwater_account_row(self, capsys, files):
         code, out, err = run(capsys, "liquidable", "--events", files["hand"],

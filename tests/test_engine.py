@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import plfkit
 from plfkit.engine import (
     ReplayError,
     TransitionError,
@@ -150,6 +155,58 @@ class TestTransitions:
                                           account="0x" + "99" * 20,
                                           amount_underlying=Dec("0.02"),
                                           amount_ctokens=ONE))
+
+    def test_zero_redeem_by_stranger_is_a_no_op(self):
+        # 0 <= 0 passes the balance check; no position exists to debit.
+        state = listed_state()
+        stranger = "0x" + "99" * 20
+        supply = state.markets["DAI"].total_ctoken_supply
+        warnings = apply_event(state, make_event(20, 0, 0, "Redeem", "DAI",
+                                                 account=stranger,
+                                                 amount_underlying=ZERO,
+                                                 amount_ctokens=ZERO))
+        assert warnings == []
+        assert state.position(stranger, "DAI") is None
+        assert stranger not in state.participants
+        assert state.markets["DAI"].total_ctoken_supply == supply
+        assert state.cursor == OrderingKey(20, 0, 0)
+
+    def test_zero_seizure_from_stranger_is_applied(self):
+        # Same shape as the zero redeem: 0 <= 0 passes the seizure check
+        # although the borrower holds no collateral position.
+        state = listed_state()
+        stranger = "0x" + "99" * 20
+        apply_event(state, make_event(20, 0, 0, "LiquidateBorrow", "DAI",
+                                      borrower=stranger, liquidator=ACCT_B,
+                                      repay_amount_underlying=ZERO,
+                                      collateral_market="ETH", seized_ctokens=ZERO))
+        assert state.position(stranger, "ETH") is None
+        assert state.cursor == OrderingKey(20, 0, 0)
+        assert validate_state(state) == []
+
+    def test_zero_redeem_by_stranger_under_optimize_flag(self, tmp_path):
+        # Under -O asserts vanish, so control flow must not rest on one.
+        script = tmp_path / "zero_redeem.py"
+        script.write_text(
+            "import sys\n"
+            "sys.path[:0] = [sys.argv[1], sys.argv[2]]\n"
+            "from plfkit.engine import apply_event, replay\n"
+            "from plfkit.fixedpoint import ZERO\n"
+            "from plfkit.model import GlobalState\n"
+            "from streams import hand_fixture, make_event\n"
+            "state = GlobalState.fresh()\n"
+            "replay(state, hand_fixture()[:7])\n"
+            "apply_event(state, make_event(20, 0, 0, 'Redeem', 'DAI', account='0x' + '99' * 20,\n"
+            "                              amount_underlying=ZERO, amount_ctokens=ZERO))\n"
+            "print(state.cursor.block, '0x' + '99' * 20 in state.participants)\n"
+        )
+        src = os.path.dirname(os.path.dirname(plfkit.__file__))
+        tests = os.path.dirname(os.path.abspath(__file__))
+        proc = subprocess.run([sys.executable, "-O", str(script), src, tests],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.stderr == ""
+        assert proc.returncode == 0
+        assert proc.stdout == "20 False\n"
 
     def test_borrow_folds_interest_before_adding(self):
         state = GlobalState.fresh()

@@ -1,7 +1,12 @@
-import pytest
+from typing import Mapping, Sequence
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from plfkit import risk
 from plfkit.engine import replay, replay_prefix, state_digest
-from plfkit.fixedpoint import ONE, ZERO, Dec
+from plfkit.fixedpoint import ONE, ZERO, Dec, DecOverflowError
 from plfkit.model import (
     GlobalState,
     MarketState,
@@ -10,6 +15,11 @@ from plfkit.model import (
     ProtocolParams,
 )
 from plfkit.risk import (
+    AccountHealth,
+    SensitivityRow,
+    _at_price,
+    _health,
+    _sums,
     account_health,
     liquidable_accounts,
     max_repay,
@@ -214,3 +224,302 @@ class TestRatioBuckets:
             ratio_buckets(state, [ONE])
         with pytest.raises(ValueError):
             ratio_buckets(state, [Dec(2), Dec(2)])
+
+
+# -- Reference valuation ------------------------------------------------------
+#
+# The Dec-object valuation and the per-shock sweep that risk.py used before
+# both moved onto one integer-mantissa kernel. Kept here as written then,
+# they are the reference the kernel must match exactly.
+
+
+def reference_health(
+    state: GlobalState, account: str, prices: Mapping[str, Dec]
+) -> AccountHealth:
+    holdings = state.participants.get(account)
+    if not holdings:
+        return AccountHealth(ZERO, ZERO, ZERO, ZERO, None)
+    power = ZERO
+    borrow_value = ZERO
+    collateral_value = ZERO
+    for symbol, position in holdings.items():
+        if position.is_empty():
+            continue
+        market = state.markets[symbol]
+        price = prices.get(symbol)
+        if price is None:
+            raise MissingPriceError(symbol)
+        if not position.ctoken_balance.is_zero():
+            base = position.ctoken_balance * market.exchange_rate
+            collateral_value = collateral_value + base * price
+            power = power + (base * market.collateral_factor) * price
+        if not position.borrow_principal.is_zero():
+            accrued = position.accrued_borrow(market.borrow_index)
+            borrow_value = borrow_value + accrued * price
+    ratio = None if borrow_value.is_zero() else power / borrow_value
+    return AccountHealth(
+        collateral_power_usd=power,
+        borrow_value_usd=borrow_value,
+        surplus_usd=power - borrow_value,
+        collateral_value_usd=collateral_value,
+        ratio=ratio,
+    )
+
+
+def reference_sensitivity(
+    state: GlobalState, symbol: str, shocks: Sequence[Dec]
+) -> list[SensitivityRow]:
+    """Every account valued from scratch once per shock."""
+    base_price = state.price_table.get(symbol)
+    for shock in shocks:
+        if shock < ZERO or shock >= ONE:
+            raise ValueError("shocks must lie in [0, 1)")
+    rows: list[SensitivityRow] = []
+    accounts = sorted(state.participants)
+    for shock in shocks:
+        shocked = dict(state.price_table.prices)
+        shocked[symbol] = base_price * (ONE - shock)
+        count = 0
+        exposure = ZERO
+        for account in accounts:
+            health = reference_health(state, account, shocked)
+            if health.liquidable:
+                count += 1
+                exposure = exposure + health.collateral_value_usd
+        rows.append(
+            SensitivityRow(
+                shock=shock, liquidable_accounts=count, liquidable_collateral_usd=exposure
+            )
+        )
+    return rows
+
+
+def outcome(fn, *args):
+    """The result, or the kind of failure: the error type and, for a
+    missing price, the symbol it names."""
+    try:
+        return "ok", fn(*args)
+    except MissingPriceError as exc:
+        return "MissingPriceError", exc.symbol
+    except DecOverflowError:
+        return "DecOverflowError", None
+
+
+SYMBOLS = ("AAA", "BBB", "CCC")
+ACCOUNTS = tuple(f"0x{i:040x}" for i in range(1, 9))
+
+
+def mantissas(low: int, high: int):
+    return st.integers(low, high).map(Dec.from_mantissa)
+
+
+@st.composite
+def books(draw, huge: bool = False):
+    """Random multi-market states of the shape replay produces.
+
+    Holdings come in random market order, with empty positions, pure
+    suppliers and pure borrowers. Amounts are scaled so that collateral
+    power and debt land within a few times of each other, and shocks move
+    accounts across the liquidation line. With ``huge``, amounts and
+    prices may reach the carrier and some prices may be missing. Prices
+    stay at least 100 and debts at least 1, so that under shocks of at
+    most 99% every debt is worth at least 1 and no ratio can overflow.
+    """
+    unit = 10 ** 18
+    if huge:
+        ctoken_amounts = principals = st.one_of(
+            st.integers(0, 10 ** 24), st.integers(10 ** 40, 10 ** 76)
+        )
+        prices = mantissas(100 * unit, 10 ** 60)
+    else:
+        ctoken_amounts = st.integers(2000 * unit, 8000 * unit)
+        principals = st.integers(20 * unit, 100 * unit)
+        prices = mantissas(unit // 2, 2 * unit)
+    state = GlobalState.fresh()
+    for symbol in SYMBOLS:
+        state.markets[symbol] = MarketState.listed(
+            symbol, draw(mantissas(unit // 66, unit // 40)), draw(mantissas(unit * 3 // 5, unit * 9 // 10))
+        )
+        state.markets[symbol].borrow_index = draw(mantissas(unit, unit + unit // 10))
+        if not (huge and draw(st.integers(0, 4)) == 0):  # else unpriced
+            state.price_table.set(symbol, draw(prices))
+    for account in draw(st.lists(st.sampled_from(ACCOUNTS), unique=True, min_size=1, max_size=8)):
+        holdings = {}
+        for symbol in draw(st.permutations(SYMBOLS))[: draw(st.integers(0, 3))]:
+            market = state.markets[symbol]
+            kind = draw(st.sampled_from(("empty", "supply", "borrow", "both")))
+            ctokens = draw(ctoken_amounts) if kind in ("supply", "both") else 0
+            principal = draw(principals) if kind in ("borrow", "both") else 0
+            if principal and huge:
+                principal = max(principal, unit)
+            snapshot = draw(mantissas(unit, market.borrow_index.mantissa))
+            holdings[symbol] = Position(
+                Dec.from_mantissa(ctokens), Dec.from_mantissa(principal), snapshot
+            )
+        state.participants[account] = holdings
+    return state
+
+
+percents = st.integers(0, 99).map(lambda pct: Dec(pct) / 100)
+shock_lists = st.lists(st.one_of(percents, mantissas(0, 10 ** 18 - 1)), min_size=1, max_size=6)
+# For huge books: a shocked price stays at least 1, so does any debt's value.
+percent_lists = st.lists(percents, min_size=1, max_size=6)
+
+
+class TestKernelAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(books(), st.sampled_from(SYMBOLS), shock_lists)
+    def test_sensitivity_rows_match_per_shock_valuation(self, state, symbol, shocks):
+        assert price_sensitivity(state, symbol, shocks) == reference_sensitivity(state, symbol, shocks)
+
+    @settings(max_examples=300, deadline=None)
+    @given(books(huge=True), st.sampled_from(SYMBOLS), percent_lists)
+    def test_sensitivity_fails_where_per_shock_valuation_fails(self, state, symbol, shocks):
+        assert outcome(price_sensitivity, state, symbol, shocks) == outcome(
+            reference_sensitivity, state, symbol, shocks
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(books(huge=True))
+    def test_health_matches_dec_valuation(self, state):
+        prices = state.price_table.prices
+        for account in ACCOUNTS:
+            assert outcome(_health, state, account, prices) == outcome(
+                reference_health, state, account, prices
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(books(huge=True), st.sampled_from(SYMBOLS), shock_lists)
+    def test_shocked_sums_match_dec_valuation(self, state, symbol, shocks):
+        # The sweep's per-shock pricing against a full Dec valuation at the
+        # shocked price, account by account, errors included.
+        prices = state.price_table.prices
+        for shock in shocks:
+            shocked = dict(prices)
+            shocked[symbol] = prices.get(symbol, ONE) * (ONE - shock)
+            for account, holdings in state.participants.items():
+
+                def swept():
+                    sums = _sums(state.markets, holdings, prices, symbol)
+                    return _at_price(sums, shocked[symbol].mantissa)
+
+                def full():
+                    health = reference_health(state, account, shocked)
+                    return (health.collateral_power_usd.mantissa, health.borrow_value_usd.mantissa,
+                            health.collateral_value_usd.mantissa)
+
+                assert outcome(swept) == outcome(full)
+
+    def test_sensitivity_never_values_per_shock(self, monkeypatch):
+        state, _ = replay(GlobalState.fresh(), sensitivity_stream())
+        calls = []
+        monkeypatch.setattr(risk, "_health", lambda *args: calls.append(args))
+        rows = price_sensitivity(state, "SHK", [ZERO, Dec("0.01"), Dec("0.03"), Dec("0.05")])
+        assert calls == []
+        assert [r.liquidable_accounts for r in rows] == [0, 1, 2, 3]
+
+    def test_empty_shock_list_values_nothing(self):
+        state, _ = replay(GlobalState.fresh(), sensitivity_stream())
+        del state.price_table.prices["DBT"]  # every borrower is now unpriceable
+        assert price_sensitivity(state, "SHK", []) == []
+        with pytest.raises(MissingPriceError, match="DBT"):
+            price_sensitivity(state, "SHK", [ZERO])
+
+
+class TestValuationOverflow:
+    def huge_state(self) -> GlobalState:
+        # Replays cleanly: each amount fits the carrier, their product does not.
+        huge = Dec("9" * 57)
+        state = GlobalState.fresh()
+        state.markets["DAI"] = MarketState.listed("DAI", ONE, Dec("0.5"))
+        state.price_table.set("DAI", huge)
+        state.participants[ACCT_A] = {"DAI": Position(ctoken_balance=huge)}
+        return state
+
+    def test_health_overflows_where_dec_does(self):
+        state = self.huge_state()
+        with pytest.raises(DecOverflowError):
+            reference_health(state, ACCT_A, state.price_table.prices)
+        with pytest.raises(DecOverflowError):
+            account_health(state, ACCT_A)
+
+    def test_sensitivity_overflows_where_dec_does(self):
+        state = self.huge_state()
+        shocks = [ZERO, Dec("0.5")]
+        with pytest.raises(DecOverflowError):
+            reference_sensitivity(state, "DAI", shocks)
+        with pytest.raises(DecOverflowError):
+            price_sensitivity(state, "DAI", shocks)
+
+    # Priced at 100, SHK collateral this large overflows at full price but
+    # not at half price.
+    EDGE = Dec.from_mantissa(2 ** 255 // 75)
+
+    def edge_book(self, participants) -> GlobalState:
+        # NOP is listed but never priced.
+        state = GlobalState.fresh()
+        for symbol in ("SHK", "NOP"):
+            state.markets[symbol] = MarketState.listed(symbol, ONE, ONE)
+        state.price_table.set("SHK", Dec(100))
+        state.participants.update(participants)
+        return state
+
+    @pytest.mark.parametrize("shocks, expected", [
+        ([Dec("0.5"), ZERO], ("MissingPriceError", "NOP")),  # ACCT_B fails at the first shock
+        ([ZERO, Dec("0.5")], ("DecOverflowError", None)),  # ACCT_A fails at the first shock
+    ])
+    def test_earliest_failing_shock_wins(self, shocks, expected):
+        state = self.edge_book({
+            ACCT_A: {"SHK": Position(ctoken_balance=self.EDGE)},
+            ACCT_B: {"NOP": Position(ctoken_balance=ONE)},
+        })
+        assert outcome(reference_sensitivity, state, "SHK", shocks) == expected
+        assert outcome(price_sensitivity, state, "SHK", shocks) == expected
+
+    @pytest.mark.parametrize("shocks, expected", [
+        ([Dec("0.5")], ("MissingPriceError", "NOP")),
+        ([ZERO], ("DecOverflowError", None)),
+    ])
+    def test_missing_price_after_shocked_asset(self, shocks, expected):
+        # Valued in holdings order, SHK's terms overflow before the missing
+        # NOP price is looked up, at full price only.
+        state = self.edge_book({
+            ACCT_A: {"SHK": Position(ctoken_balance=self.EDGE), "NOP": Position(ctoken_balance=ONE)},
+        })
+        assert outcome(reference_sensitivity, state, "SHK", shocks) == expected
+        assert outcome(price_sensitivity, state, "SHK", shocks) == expected
+
+    def test_partial_sum_overflows(self):
+        # Each borrow term fits the carrier, their sum does not; power
+        # stays high enough that the surplus alone would not overflow.
+        bound = 2 ** 255
+        state = GlobalState.fresh()
+        for symbol in ("SHK", "DBT"):
+            state.markets[symbol] = MarketState.listed(symbol, ONE, ONE)
+            state.price_table.set(symbol, ONE)
+        state.participants[ACCT_A] = {
+            "DBT": Position(borrow_principal=Dec.from_mantissa(bound * 6 // 10)),
+            "SHK": Position(ctoken_balance=Dec.from_mantissa(bound * 9 // 10),
+                            borrow_principal=Dec.from_mantissa(bound * 6 // 10)),
+        }
+        with pytest.raises(DecOverflowError):
+            reference_sensitivity(state, "SHK", [ZERO])
+        with pytest.raises(DecOverflowError):
+            price_sensitivity(state, "SHK", [ZERO])
+
+    def test_only_the_ratio_overflows(self):
+        # Power near the carrier over a debt of 10**-18 USD: the ratio
+        # alone leaves the carrier. Health reports it; the sweep computes
+        # no ratio, so its rows stand.
+        state = GlobalState.fresh()
+        state.markets["DAI"] = MarketState.listed("DAI", ONE, ONE)
+        state.price_table.set("DAI", ONE)
+        state.participants[ACCT_A] = {
+            "DAI": Position(ctoken_balance=Dec(10 ** 50), borrow_principal=Dec.from_mantissa(1)),
+        }
+        with pytest.raises(DecOverflowError):
+            account_health(state, ACCT_A)
+        with pytest.raises(DecOverflowError):
+            reference_sensitivity(state, "DAI", [ZERO])
+        rows = price_sensitivity(state, "DAI", [ZERO])
+        assert rows == [SensitivityRow(ZERO, 0, ZERO)]

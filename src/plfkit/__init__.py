@@ -7,7 +7,7 @@ price-sensitivity, concentration, and leverage measures from that state.
 
 __version__ = "0.1.0"
 
-from .engine import ReplayError, ReplayReport, TransitionError, apply_event, replay, replay_prefix, state_digest
+from .engine import ReplayError, ReplayReport, TransitionError, apply_event, replay, state_digest
 from .events import (
     EventParseError,
     EventRecord,
@@ -67,7 +67,6 @@ __all__ = [
     "validate_state",
     "apply_event",
     "replay",
-    "replay_prefix",
     "state_digest",
     "ReplayReport",
     "ReplayError",

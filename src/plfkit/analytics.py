@@ -48,8 +48,8 @@ class EfficiencyTimeline:
 
 
 def _seized_value(state: GlobalState, event: EventRecord) -> Dec:
-    # Valued at the exchange rate and price in force when the liquidation
-    # executes; the event itself changes neither.
+    # Valued after the liquidation is applied, at the exchange rate and
+    # price in force when it executes: the event itself changes neither.
     market = state.markets[event.payload["collateral_market"]]
     price = state.price_table.get(market.asset.symbol)
     return (event.payload["seized_ctokens"] * market.exchange_rate) * price
@@ -82,6 +82,8 @@ def track_efficiency(
 
     for event in events:
         payload = event.payload
+        apply_event(state, event)
+
         if event.kind == "LiquidateBorrow":
             borrower = payload["borrower"]
             start = open_streaks.pop(borrower, None)
@@ -106,8 +108,6 @@ def track_efficiency(
                 )
                 timeline.streaks.append(Streak(account=borrower, start=start, end=event.key))
             timeline.liquidations.append(record)
-
-        apply_event(state, event)
 
         if full_reeval:
             dirty = set(state.participants)

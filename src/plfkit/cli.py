@@ -6,7 +6,8 @@ CSV or JSON. No balance arithmetic happens here. Diagnostics and replay
 warnings go to standard error; only the requested table goes to the
 chosen output.
 
-Exit codes: 0 success, 1 domain or evaluation error, 2 usage error.
+Exit codes: 0 success, 1 domain or evaluation error, 2 usage error. main()
+alone turns a library error into its one ``error: ...`` line.
 """
 
 from __future__ import annotations
@@ -16,11 +17,12 @@ import csv
 import io
 import json
 import sys
+from bisect import bisect_right
 from typing import Any, Sequence
 
 from . import __version__
 from .analytics import concentration, efficiency_cdf, funds_time_series, track_efficiency
-from .engine import ReplayError, TransitionError, replay, replay_prefix
+from .engine import ReplayError, ReplayReport, TransitionError, replay
 from .events import EventParseError, EventRecord, StreamOrderError, read_events
 from .fixedpoint import ONE, ZERO, Dec, DecOverflowError, DecParseError
 from .leverage import quote
@@ -98,37 +100,39 @@ def _shock_list(text: str) -> list[Dec]:
 # -- State loading and output formatting --------------------------------------
 
 
-def _read_stream(path: str) -> list[EventRecord]:
+def _read_stream(path: str, at_block: int | None = None) -> list[EventRecord]:
+    """The whole stream, or its events with block <= at_block."""
     try:
-        return read_events(path)
+        events = read_events(path)
     except OSError as exc:
         raise CliError(f"cannot read events from {path}: {exc.strerror or exc}") from None
     except (EventParseError, StreamOrderError) as exc:
         raise CliError(f"{path}: {exc}") from None
+    if at_block is not None:
+        # read_events guarantees strictly increasing keys, so blocks are sorted.
+        events = events[: bisect_right(events, at_block, key=lambda e: e.key.block)]
+    return events
 
 
-def _replayed_state(events_path: str, at_block: int | None) -> GlobalState:
-    events = _read_stream(events_path)
-    state = GlobalState.fresh()
+def _load_snapshot(path: str) -> GlobalState:
     try:
-        if at_block is None:
-            _, report = replay(state, events)
-        else:
-            _, report = replay_prefix(state, events, at_block)
-    except ReplayError as exc:
-        raise CliError(str(exc)) from None
+        return load_snapshot(path)
+    except (SnapshotError, OSError) as exc:
+        raise CliError(f"cannot load snapshot {path}: {exc}") from None
+
+
+def _replay(state: GlobalState, events: list[EventRecord]) -> tuple[GlobalState, ReplayReport]:
+    """replay, with its warnings printed on stderr."""
+    state, report = replay(state, events)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    return state
+    return state, report
 
 
 def _state_from_args(args: argparse.Namespace) -> GlobalState:
-    if getattr(args, "snapshot", None):
-        try:
-            return load_snapshot(args.snapshot)
-        except (SnapshotError, OSError) as exc:
-            raise CliError(f"cannot load snapshot {args.snapshot}: {exc}") from None
-    return _replayed_state(args.events, getattr(args, "at_block", None))
+    if args.snapshot:
+        return _load_snapshot(args.snapshot)
+    return _replay(GlobalState.fresh(), _read_stream(args.events, args.at_block))[0]
 
 
 def _encode_cell(value: Any, for_csv: bool) -> Any:
@@ -169,25 +173,12 @@ def _cursor_cells(cursor) -> tuple[Any, Any, Any]:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    events = _read_stream(args.events)
-    if args.snapshot_in:
-        try:
-            state = load_snapshot(args.snapshot_in)
-        except (SnapshotError, OSError) as exc:
-            raise CliError(f"cannot load snapshot {args.snapshot_in}: {exc}") from None
-        cursor = state.cursor
-        if cursor is not None:
-            events = [e for e in events if e.key > cursor]
-    else:
-        state = GlobalState.fresh()
-    if args.at_block is not None:
-        events = [e for e in events if e.key.block <= args.at_block]
-    try:
-        _, report = replay(state, events)
-    except ReplayError as exc:
-        raise CliError(str(exc)) from None
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    # The stream is read first, so that its errors win over the snapshot's.
+    events = _read_stream(args.events, args.at_block)
+    state = _load_snapshot(args.snapshot_in) if args.snapshot_in else GlobalState.fresh()
+    if state.cursor is not None:
+        events = events[bisect_right(events, state.cursor, key=lambda e: e.key) :]
+    _, report = _replay(state, events)
     if args.snapshot_out:
         save_snapshot(state, args.snapshot_out)
     block, tx_index, log_index = _cursor_cells(state.cursor)
@@ -208,11 +199,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_liquidable(args: argparse.Namespace) -> int:
-    state = _state_from_args(args)
-    try:
-        unhealthy = liquidable_accounts(state)
-    except (MissingPriceError, DecOverflowError) as exc:
-        raise CliError(str(exc)) from None
+    unhealthy = liquidable_accounts(_state_from_args(args))
     columns = (
         "account",
         "collateral_power_usd",
@@ -240,10 +227,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     state = _state_from_args(args)
     if args.asset not in state.markets:
         raise CliError(f"no market listed for asset {args.asset!r}")
-    try:
-        table = price_sensitivity(state, args.asset, args.shocks)
-    except (MissingPriceError, DecOverflowError) as exc:
-        raise CliError(str(exc)) from None
+    table = price_sensitivity(state, args.asset, args.shocks)
     columns = ("shock", "liquidable_accounts", "liquidable_collateral_usd")
     rows = [
         {
@@ -258,14 +242,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
-    events = _read_stream(args.events)
-    if args.at_block is not None:
-        events = [e for e in events if e.key.block <= args.at_block]
-    state = GlobalState.fresh()
-    try:
-        timeline = track_efficiency(state, events, full_reeval=args.full_reeval)
-    except (TransitionError, MissingPriceError, DecOverflowError) as exc:
-        raise CliError(str(exc)) from None
+    events = _read_stream(args.events, args.at_block)
+    timeline = track_efficiency(GlobalState.fresh(), events, full_reeval=args.full_reeval)
     for warning in timeline.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     points = efficiency_cdf(timeline, weighting=args.weighting)
@@ -276,11 +254,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def cmd_concentration(args: argparse.Namespace) -> int:
-    state = _state_from_args(args)
-    try:
-        report = concentration(state, args.side, args.top)
-    except (MissingPriceError, DecOverflowError) as exc:
-        raise CliError(str(exc)) from None
+    report = concentration(_state_from_args(args), args.side, args.top)
     print(
         f"side={report.side} total_usd={report.total_usd} "
         f"top1_share={report.top1_share} top{report.top_n}_share={report.topn_share}",
@@ -296,12 +270,7 @@ def cmd_concentration(args: argparse.Namespace) -> int:
 
 
 def cmd_timeseries(args: argparse.Namespace) -> int:
-    events = _read_stream(args.events)
-    state = GlobalState.fresh()
-    try:
-        rows_out = funds_time_series(state, events, stride=args.stride)
-    except (TransitionError, MissingPriceError, DecOverflowError) as exc:
-        raise CliError(str(exc)) from None
+    rows_out = funds_time_series(GlobalState.fresh(), _read_stream(args.events), stride=args.stride)
     columns = ("block", "supplied_usd", "borrowed_usd", "locked_usd")
     rows = [
         {
@@ -405,7 +374,7 @@ def _snapshot_row(args: argparse.Namespace, path: str, meta) -> None:
 
 
 def cmd_snapshot_save(args: argparse.Namespace) -> int:
-    state = _replayed_state(args.events, args.at_block)
+    state, _ = _replay(GlobalState.fresh(), _read_stream(args.events, args.at_block))
     meta = save_snapshot(state, args.out_path)
     _snapshot_row(args, args.out_path, meta)
     return 0
@@ -567,7 +536,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, ReplayError, TransitionError, MissingPriceError, DecOverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BrokenPipeError:

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .events import EventRecord, OrderingKey
-from .fixedpoint import ONE, SCALE, ZERO, Dec
+from .fixedpoint import SCALE, ZERO, Dec, DecOverflowError
 from .model import GlobalState, MarketState, Position, canonical_json_bytes
 
 
@@ -42,11 +42,6 @@ class ReplayReport:
     final_cursor: OrderingKey | None = None
     digest: str | None = None
     warnings: list[str] = field(default_factory=list)
-
-
-def accrued_borrow_balance(position: Position, market: MarketState) -> Dec:
-    """Live borrow balance: principal scaled by index growth, truncating."""
-    return position.accrued_borrow(market.borrow_index)
 
 
 def state_digest(state: GlobalState) -> str:
@@ -145,7 +140,8 @@ def apply_event(state: GlobalState, event: EventRecord) -> list[str]:
     """Apply one event in place; returns warnings (usually empty).
 
     Raises TransitionError on ordering violations, unknown markets,
-    overdraws, or aggregate underflow beyond truncation slack.
+    overdraws, aggregate underflow beyond truncation slack, or a sum that
+    leaves the mantissa carrier.
     """
     if state.cursor is not None and event.key <= state.cursor:
         raise TransitionError(
@@ -153,6 +149,16 @@ def apply_event(state: GlobalState, event: EventRecord) -> list[str]:
         )
 
     warnings: list[str] = []
+    try:
+        _transition(state, event, warnings)
+    except DecOverflowError as exc:
+        raise TransitionError(event.key, str(exc)) from exc
+    state.cursor = event.key
+    return warnings
+
+
+def _transition(state: GlobalState, event: EventRecord, warnings: list[str]) -> None:
+    """The body of apply_event: one event's effect, cursor aside."""
     kind = event.kind
     payload = event.payload
 
@@ -285,9 +291,6 @@ def apply_event(state: GlobalState, event: EventRecord) -> list[str]:
     else:  # pragma: no cover - parse layer rejects unknown kinds
         raise TransitionError(event.key, f"unhandled event kind {kind!r}")
 
-    state.cursor = event.key
-    return warnings
-
 
 def replay(
     state: GlobalState, events: Iterable[EventRecord]
@@ -308,11 +311,3 @@ def replay(
         report.final_cursor = state.cursor
     report.digest = state_digest(state)
     return state, report
-
-
-def replay_prefix(
-    state: GlobalState, events: Sequence[EventRecord], at_block: int
-) -> tuple[GlobalState, ReplayReport]:
-    """Replay only events with block <= at_block (stream must be sorted)."""
-    prefix = [event for event in events if event.key.block <= at_block]
-    return replay(state, prefix)

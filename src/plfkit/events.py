@@ -376,8 +376,8 @@ def iter_events(path: str) -> Iterator[EventRecord]:
             raise EventParseError(f"not UTF-8 text: {exc.reason}", line_number=line_number) from None
 
 
-def read_events(path: str, validate_order: bool = True) -> list[EventRecord]:
-    """Load a whole JSONL stream, optionally enforcing strict ordering.
+def read_events(path: str) -> list[EventRecord]:
+    """Load a whole JSONL stream, enforcing strict ordering.
 
     Every key must exceed the one before it, compared as raw
     (block, tx_index, log_index) triples. The check runs as lines are
@@ -396,7 +396,7 @@ def read_events(path: str, validate_order: bool = True) -> list[EventRecord]:
         for event in iter_events(path):
             key = event.key
             current = (key.block, key.tx_index, key.log_index)
-            if current <= previous and validate_order and violation is None:
+            if current <= previous and violation is None:
                 violation = f"event {len(events)} key {key} does not follow {previous_key}"
             previous, previous_key = current, key
             events.append(event)

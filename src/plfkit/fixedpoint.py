@@ -235,16 +235,6 @@ ZERO = Dec(0)
 ONE = Dec(1)
 
 
-def dec_mul(a: Dec, b: Dec) -> Dec:
-    """Product rescaled to 18 digits, truncated toward zero."""
-    return a * b
-
-
-def dec_div(a: Dec, b: Dec) -> Dec:
-    """Quotient rescaled to 18 digits, truncated toward zero."""
-    return a / b
-
-
 def dec_muldiv(a: Dec, b: Dec, c: Dec) -> Dec:
     """a * b / c with a single truncation.
 

@@ -15,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .events import OrderingKey, is_valid_address
+from .events import OrderingKey
 from .fixedpoint import ONE, ZERO, Dec, dec_muldiv
 
 
@@ -39,17 +39,6 @@ class AssetId:
             raise ValueError("asset symbol must be non-empty")
         if not 0 <= self.decimals <= 18:
             raise ValueError("asset decimals must lie in [0, 18]")
-
-
-@dataclass(frozen=True)
-class AccountId:
-    """Checksummed-down account address (42 chars, lowercase hex)."""
-
-    address: str
-
-    def __post_init__(self):
-        if not is_valid_address(self.address):
-            raise ValueError(f"invalid account address {self.address!r}")
 
 
 @dataclass

@@ -12,7 +12,7 @@ from plfkit.analytics import (
     funds_time_series,
     track_efficiency,
 )
-from plfkit.engine import replay, replay_prefix
+from plfkit.engine import TransitionError, replay
 from plfkit.events import OrderingKey
 from plfkit.fixedpoint import ONE, ZERO, Dec
 from plfkit.model import GlobalState, MarketState, Position
@@ -53,12 +53,21 @@ class TestTrackEfficiency:
 
     def test_tracking_resumes_from_mid_stream_state(self):
         events = hand_fixture()
-        state, _ = replay_prefix(GlobalState.fresh(), events, at_block=10)
+        state, _ = replay(GlobalState.fresh(), [e for e in events if e.key.block <= 10])
         resumed = track_efficiency(state, [e for e in events if e.key.block > 10])
         # The open streak is seeded at the resume cursor, so elapsed
         # blocks still count from block 10.
         assert resumed.liquidations[0].blocks_elapsed == 2
         assert resumed.streaks[0].start == OrderingKey(10, 0, 0)
+
+    def test_unknown_collateral_market_is_a_transition_error(self):
+        events = hand_fixture()[:17] + [
+            make_event(12, 0, 0, "LiquidateBorrow", "DAI", borrower=ACCT_A, liquidator=ACCT_B,
+                       repay_amount_underlying=Dec(100), collateral_market="XYZ",
+                       seized_ctokens=Dec(1)),
+        ]
+        with pytest.raises(TransitionError, match="^event 12:0:0: unknown market 'XYZ'$"):
+            track_efficiency(GlobalState.fresh(), events)
 
     def test_recovery_closes_streak_without_record(self):
         events = hand_fixture()[:16]  # through the block-10 drop

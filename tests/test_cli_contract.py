@@ -1,0 +1,108 @@
+"""One failure contract for every command that reads a stream or a snapshot.
+
+Whatever the library raises on a bad stream or a tampered snapshot, the
+command ends with exactly one ``error: ...`` line on stderr, nothing on
+stdout, and exit code 1.
+"""
+
+import json
+
+import pytest
+
+from plfkit.cli import main
+from plfkit.events import write_events
+from plfkit.fixedpoint import Dec
+from streams import ACCT_A, ACCT_B, hand_fixture, make_event
+
+_HUGE = Dec("9" * 58)
+
+# Each stream's failure, as the one line every command must print.
+_STREAMS = {
+    "overdrawn-redeem": (
+        hand_fixture()[:5] + [
+            make_event(2, 0, 0, "Redeem", "DAI", account=ACCT_A,
+                       amount_underlying=Dec(1), amount_ctokens=Dec(50)),
+        ],
+        f"error: event 2:0:0: redeem of 50 ctokens exceeds balance 0 for {ACCT_A}\n",
+    ),
+    # The sixth Mint's own sum leaves the 256-bit carrier.
+    "overflowing-mint": (
+        hand_fixture()[:5] + [
+            make_event(block, 0, 0, "Mint", "DAI", account=ACCT_A,
+                       amount_underlying=_HUGE, amount_ctokens=_HUGE)
+            for block in range(2, 8)
+        ],
+        "error: event 7:0:0: mantissa exceeds the signed 256-bit carrier\n",
+    ),
+    "unknown-collateral-market": (
+        hand_fixture()[:17] + [
+            make_event(12, 0, 0, "LiquidateBorrow", "DAI", borrower=ACCT_A, liquidator=ACCT_B,
+                       repay_amount_underlying=Dec(100), collateral_market="XYZ",
+                       seized_ctokens=Dec(1)),
+        ],
+        "error: event 12:0:0: unknown market 'XYZ'\n",
+    ),
+}
+
+_STREAM_COMMANDS = {
+    "replay": ("replay",),
+    "liquidable": ("liquidable",),
+    "sensitivity": ("sensitivity", "--asset", "DAI", "--shocks", "0,0.5"),
+    "concentration": ("concentration", "--side", "supply"),
+    "efficiency": ("efficiency",),
+    "timeseries": ("timeseries",),
+    "snapshot-save": ("snapshot", "save", "--out-path", "{tmp}/never.snap"),
+}
+
+_SNAPSHOT_COMMANDS = {
+    "replay-snapshot-in": ("replay", "--events", "{stream}", "--snapshot-in", "{snap}"),
+    "liquidable": ("liquidable", "--snapshot", "{snap}"),
+    "sensitivity": ("sensitivity", "--snapshot", "{snap}", "--asset", "DAI", "--shocks", "0.1"),
+    "concentration": ("concentration", "--snapshot", "{snap}", "--side", "borrow"),
+    "snapshot-load": ("snapshot", "load", "--snapshot", "{snap}"),
+    "snapshot-verify": ("snapshot", "verify", "--snapshot", "{snap}"),
+}
+
+
+def _run(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _assert_one_error_line(code, out, err):
+    assert code == 1
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+@pytest.mark.parametrize("stream", sorted(_STREAMS))
+@pytest.mark.parametrize("command", sorted(_STREAM_COMMANDS))
+def test_bad_stream(capsys, tmp_path, command, stream):
+    events, expected = _STREAMS[stream]
+    path = tmp_path / "bad.jsonl"
+    write_events(str(path), events)
+    argv = [part.format(tmp=tmp_path) for part in _STREAM_COMMANDS[command]]
+    head = 2 if argv[0] == "snapshot" else 1
+    code, out, err = _run(capsys, argv[:head] + ["--events", str(path)] + argv[head:])
+    _assert_one_error_line(code, out, err)
+    assert err == expected
+    assert not (tmp_path / "never.snap").exists()
+
+
+@pytest.mark.parametrize("command", sorted(_SNAPSHOT_COMMANDS))
+def test_tampered_snapshot(capsys, tmp_path, command):
+    stream = tmp_path / "hand.jsonl"
+    write_events(str(stream), hand_fixture())
+    snap = tmp_path / "hand.snap"
+    assert main(["snapshot", "save", "--events", str(stream), "--out-path", str(snap)]) == 0
+    document = json.loads(snap.read_text())
+    document["state"]["params"]["close_factor"] = "0.6"
+    snap.write_text(json.dumps(document))
+    capsys.readouterr()
+    argv = [part.format(stream=stream, snap=snap) for part in _SNAPSHOT_COMMANDS[command]]
+    code, out, err = _run(capsys, argv)
+    _assert_one_error_line(code, out, err)
+    assert "snapshot digest mismatch" in err

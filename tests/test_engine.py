@@ -8,10 +8,8 @@ import plfkit
 from plfkit.engine import (
     ReplayError,
     TransitionError,
-    accrued_borrow_balance,
     apply_event,
     replay,
-    replay_prefix,
     state_digest,
 )
 from plfkit.events import OrderingKey
@@ -79,7 +77,7 @@ class TestHandFixtureReplay:
         state = replayed()
         pos = state.position(ACCT_B, "DAI")
         # B never repaid: 100 at snapshot 1 brought to index 1.1.
-        assert accrued_borrow_balance(pos, state.markets["DAI"]) == Dec(110)
+        assert pos.accrued_borrow(state.markets["DAI"].borrow_index) == Dec(110)
 
 
 class TestCursor:
@@ -301,6 +299,21 @@ class TestTransitions:
         apply_event(state, make_event(1, 0, 0, "PriceUpdate", "NEW", price_usd=Dec(7)))
         assert state.price_table.get("NEW") == Dec(7)
 
+    def test_sum_beyond_carrier_names_the_event_without_mutation(self):
+        state = listed_state()
+        huge = Dec("9" * 58)
+        for block in range(20, 25):
+            apply_event(state, make_event(block, 0, 0, "Mint", "DAI", account=ACCT_A,
+                                          amount_underlying=huge, amount_ctokens=huge))
+        before = state_digest(state)
+        sixth = make_event(25, 0, 0, "Mint", "DAI", account=ACCT_A,
+                           amount_underlying=huge, amount_ctokens=huge)
+        with pytest.raises(TransitionError) as excinfo:
+            apply_event(state, sixth)
+        assert str(excinfo.value) == "event 25:0:0: mantissa exceeds the signed 256-bit carrier"
+        assert excinfo.value.key == sixth.key
+        assert state_digest(state) == before
+
 
 class TestReplay:
     def test_error_carries_partial_report(self):
@@ -317,14 +330,16 @@ class TestReplay:
         assert isinstance(excinfo.value.cause, TransitionError)
 
     def test_prefix_stops_at_block(self):
-        state, report = replay_prefix(GlobalState.fresh(), hand_fixture(), at_block=4)
+        prefix = [e for e in hand_fixture() if e.key.block <= 4]
+        state, report = replay(GlobalState.fresh(), prefix)
         assert report.events_applied == 10
         assert state.cursor == OrderingKey(4, 0, 0)
         assert state.markets["DAI"].total_borrows == Dec("115.5")
 
     def test_prefix_beyond_stream_is_full_replay(self):
         full_digest = replay(GlobalState.fresh(), hand_fixture())[1].digest
-        prefix_digest = replay_prefix(GlobalState.fresh(), hand_fixture(), 10 ** 9)[1].digest
+        prefix = [e for e in hand_fixture() if e.key.block <= 10 ** 9]
+        prefix_digest = replay(GlobalState.fresh(), prefix)[1].digest
         assert prefix_digest == full_digest
 
     def test_split_replay_matches_one_shot(self):

@@ -13,8 +13,6 @@ from plfkit.fixedpoint import (
     Dec,
     DecOverflowError,
     DecParseError,
-    dec_div,
-    dec_mul,
     dec_muldiv,
 )
 
@@ -217,9 +215,9 @@ class TestMulDiv:
         expected = math.trunc(Fraction(a.mantissa * b.mantissa, c.mantissa))
         assert dec_muldiv(a, b, c).mantissa == expected
 
-    def test_module_helpers_alias_operators(self):
-        assert dec_mul(Dec(2), Dec(3)) == Dec(6)
-        assert dec_div(Dec(6), Dec(3)) == Dec(2)
+    def test_operators_multiply_and_divide(self):
+        assert Dec(2) * Dec(3) == Dec(6)
+        assert Dec(6) / Dec(3) == Dec(2)
 
 
 class TestComparisonAndIdentity:

@@ -1,9 +1,8 @@
 import pytest
 
-from plfkit.events import OrderingKey
+from plfkit.events import OrderingKey, is_valid_address
 from plfkit.fixedpoint import ONE, ZERO, Dec
 from plfkit.model import (
-    AccountId,
     AssetId,
     GlobalState,
     MarketState,
@@ -48,9 +47,8 @@ class TestIdentifiers:
             AssetId("DAI", 19)
 
     def test_account_id(self):
-        assert AccountId(ACCT_A).address == ACCT_A
-        with pytest.raises(ValueError):
-            AccountId("0xABC")
+        assert is_valid_address(ACCT_A)
+        assert not is_valid_address("0xABC")
 
 
 class TestProtocolParams:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plfkit import risk
-from plfkit.engine import replay, replay_prefix, state_digest
+from plfkit.engine import replay, state_digest
 from plfkit.fixedpoint import ONE, ZERO, Dec, DecOverflowError
 from plfkit.model import (
     GlobalState,
@@ -40,7 +40,7 @@ def one_supplier_state() -> GlobalState:
 
 
 def at_block_10() -> GlobalState:
-    state, _ = replay_prefix(GlobalState.fresh(), hand_fixture(), at_block=10)
+    state, _ = replay(GlobalState.fresh(), [e for e in hand_fixture() if e.key.block <= 10])
     return state
 
 

@@ -24,12 +24,46 @@ from pathlib import Path
 from plfkit.cli import main
 from plfkit.events import write_events
 from plfkit.fixedpoint import Dec
+from plfkit.scenarios import (
+    ConcentrationPlan,
+    MarketSpec,
+    PlannedLiquidation,
+    PricePath,
+    ScenarioSpec,
+    default_spec,
+    spec_to_dict,
+)
 from streams import hand_fixture, make_event
 
 RECORDING = Path(__file__).parent / "golden" / "cli.json"
 
 # Beyond every block of every stream below.
 FAR_BLOCK = 10 ** 9
+
+
+def scenario_specs() -> dict[str, ScenarioSpec]:
+    """Generator specs beyond the default seed: both concentration sides
+    and a 3-market stream with three planned liquidations."""
+    supply_whale = default_spec(7, event_count=200)
+    supply_whale.planned_concentration = ConcentrationPlan("supply", (Dec("0.274"),))
+    borrow_whales = default_spec(3)
+    borrow_whales.planned_concentration = ConcentrationPlan("borrow", (Dec("0.3"), Dec("0.2")))
+    three_markets = ScenarioSpec(
+        seed=11,
+        markets=[
+            MarketSpec("DAI", Dec("0.02"), Dec("0.75"), PricePath(Dec(1), max_step_bps=5)),
+            MarketSpec("ETH", Dec("0.02"), Dec("0.7"), PricePath(Dec(2000), max_step_bps=25)),
+            MarketSpec("BTC", Dec("0.02"), Dec("0.65"), PricePath(Dec(30000), max_step_bps=20)),
+        ],
+        accounts=10,
+        event_count=600,
+        planned_liquidations=[
+            PlannedLiquidation("0x" + format(0xD0000 + i, "040x"), block, block + delay)
+            for i, (block, delay) in enumerate([(100, 1), (200, 4), (300, 10)])
+        ],
+        checkpoint_count=6,
+    )
+    return {"supply1": supply_whale, "borrow2": borrow_whales, "multi3": three_markets}
 
 
 def write_inputs(workdir: Path) -> None:
@@ -45,6 +79,8 @@ def write_inputs(workdir: Path) -> None:
     ])
     write_events(str(workdir / "misordered.jsonl"), [hand[1], hand[0]] + hand[2:])
     (workdir / "badline.jsonl").write_text('{"block": 1}\n')
+    for name, spec in scenario_specs().items():
+        (workdir / f"{name}.spec.json").write_text(json.dumps(spec_to_dict(spec)))
 
 
 def _blocks(events_path: Path) -> list[int]:
@@ -154,6 +190,10 @@ def run_all(workdir: Path) -> list[dict]:
         write_inputs(workdir)
         results = [run_step(["gen-scenario", "--seed", "7", "--events-out", "s7.jsonl",
                              "--annotations-out", "s7.ann.json"], ["s7.jsonl", "s7.ann.json"])]
+        for name in scenario_specs():
+            outputs = [f"{name}.jsonl", f"{name}.ann.json"]
+            results.append(run_step(["gen-scenario", "--spec", f"{name}.spec.json", "--events-out",
+                                     outputs[0], "--annotations-out", outputs[1]], outputs))
         hand_blocks, s7_blocks = _blocks(workdir / "hand.jsonl"), _blocks(workdir / "s7.jsonl")
         for step in _stream_steps("hand", hand_blocks, [0, 4, 11, 13, FAR_BLOCK]):
             results.append(run_step(step["argv"], step["writes"]))

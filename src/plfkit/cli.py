@@ -536,10 +536,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (CliError, ReplayError, TransitionError, MissingPriceError, DecOverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BrokenPipeError:
+        return 1
+    except (CliError, ReplayError, TransitionError, MissingPriceError, DecOverflowError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 1
 
 

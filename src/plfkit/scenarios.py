@@ -15,7 +15,6 @@ for a given seed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from random import Random
 from typing import Any, Literal, Sequence
@@ -27,6 +26,7 @@ from .events import (
     write_events,
 )
 from .fixedpoint import ONE, ZERO, Dec, dec_muldiv
+from .model import encode_canonical
 
 ANNOTATION_FORMAT_VERSION = 1
 
@@ -325,9 +325,18 @@ class _NaiveState:
                 borrow_value = borrow_value + self._accrued(pos, index) * price
         return power, borrow_value, collateral_value
 
-    def is_liquidable(self, account: str, **overrides) -> bool:
-        power, borrow_value, _ = self.health(account, **overrides)
+    def is_liquidable(self, account: str) -> bool:
+        power, borrow_value, _ = self.health(account)
         return power < borrow_value
+
+    def drift_safe(self, symbol: str, **override: dict[str, Dec]) -> bool:
+        """Whether every borrower in ``symbol`` keeps power >= _DRIFT_MARGIN
+        times its borrow value under one of ``health()``'s overrides."""
+        for account in self.members.get(symbol, ()):
+            power, borrow_value, _ = self.health(account, **override)
+            if not borrow_value.is_zero() and power < borrow_value * _DRIFT_MARGIN:
+                return False
+        return True
 
     def liquidable_accounts(self) -> list[str]:
         return [a for a in sorted(self.positions) if self.is_liquidable(a)]
@@ -338,9 +347,7 @@ class _NaiveState:
         ctoken_sum = ZERO
         accrued_sum = ZERO
         for account in self.members.get(symbol, ()):
-            pos = self.positions[account].get(symbol)
-            if pos is None:
-                continue
+            pos = self.positions[account][symbol]
             ctoken_sum = ctoken_sum + pos.ctokens
             accrued_sum = accrued_sum + self._accrued(pos, market.index)
         return market.supply, ctoken_sum, market.borrows, accrued_sum
@@ -354,23 +361,6 @@ class _NaiveState:
     def ctokens_of(self, account: str, symbol: str) -> Dec:
         pos = self.positions.get(account, {}).get(symbol)
         return pos.ctokens if pos is not None else ZERO
-
-    def supply_value_of(self, account: str) -> Dec:
-        total = ZERO
-        for symbol, pos in self.positions.get(account, {}).items():
-            if pos.ctokens.is_zero():
-                continue
-            market = self.markets[symbol]
-            total = total + (pos.ctokens * market.rate) * self.prices[symbol]
-        return total
-
-    def borrow_value_of(self, account: str) -> Dec:
-        total = ZERO
-        for symbol, pos in self.positions.get(account, {}).items():
-            if pos.principal.is_zero():
-                continue
-            total = total + self._accrued(pos, self.markets[symbol].index) * self.prices[symbol]
-        return total
 
 
 # -- Ground truth ------------------------------------------------------------
@@ -558,12 +548,6 @@ class _Emitter:
         self._tx = 0
         self._log = 0
 
-    def advance(self, blocks: int) -> None:
-        if blocks > 0:
-            self.block += blocks
-            self._tx = 0
-            self._log = 0
-
     def goto(self, block: int) -> None:
         if block < self.block:
             raise GenerationError(f"cannot move back to block {block} from {self.block}")
@@ -589,7 +573,15 @@ class _Emitter:
         self.tracker.apply(event)
 
 
+def _require_int(value: Any, name: str) -> None:
+    # bool is an int subclass, but True is no seed or count.
+    if type(value) is not int:
+        raise GenerationError(f"{name} must be an integer, not {value!r}")
+
+
 def _validate_spec(spec: ScenarioSpec) -> None:
+    for name in ("seed", "accounts", "event_count", "checkpoint_count"):
+        _require_int(getattr(spec, name), name)
     if not 0 <= spec.seed < 2 ** 64:
         raise GenerationError("seed must be an unsigned 64-bit integer")
     if spec.accounts < 1:
@@ -599,6 +591,9 @@ def _validate_spec(spec: ScenarioSpec) -> None:
     if not spec.markets:
         raise GenerationError("at least one market required")
     symbols = [m.symbol for m in spec.markets]
+    for symbol in symbols:
+        if not isinstance(symbol, str) or not symbol:
+            raise GenerationError(f"market symbol {symbol!r} is not a non-empty string")
     if len(set(symbols)) != len(symbols):
         raise GenerationError("market symbols must be unique")
     reserved = {"PLD", "CONC"} | {f"PLC{i}" for i in range(len(spec.planned_liquidations))}
@@ -609,6 +604,7 @@ def _validate_spec(spec: ScenarioSpec) -> None:
         floor, cap = market.price.bounds()
         if not (ZERO < floor <= market.price.initial <= cap):
             raise GenerationError(f"price bounds for {market.symbol} must satisfy 0 < floor <= initial <= cap")
+        _require_int(market.price.max_step_bps, "max_step_bps")
         if market.price.max_step_bps < 1:
             raise GenerationError("max_step_bps must be positive")
     seen_accounts = set()
@@ -618,9 +614,13 @@ def _validate_spec(spec: ScenarioSpec) -> None:
         if plan.account in seen_accounts:
             raise GenerationError(f"account {plan.account} appears in more than one plan")
         seen_accounts.add(plan.account)
+        _require_int(plan.liquidable_block, "liquidable_block")
+        _require_int(plan.liquidation_block, "liquidation_block")
         if plan.liquidation_block < plan.liquidable_block:
             raise GenerationError("liquidation_block must not precede liquidable_block")
     if spec.planned_concentration is not None:
+        if spec.planned_concentration.side not in ("supply", "borrow"):
+            raise GenerationError("concentration side must be 'supply' or 'borrow'")
         shares = spec.planned_concentration.shares
         if not shares:
             raise GenerationError("concentration plan needs at least one share")
@@ -655,21 +655,14 @@ def _interest_event(
     for attempt in range(3):
         growth = Dec.from_mantissa(rng.randrange(0, 10 ** 15 + 1) >> attempt)
         new_index = market.index * (ONE + growth)
-        override = {symbol: new_index}
-        safe = True
-        for account in tracker.members.get(symbol, ()):
-            power, borrow_value, _ = tracker.health(account, index_override=override)
-            if not borrow_value.is_zero() and power < borrow_value * _DRIFT_MARGIN:
-                safe = False
-                break
-        if not safe:
+        if not tracker.drift_safe(symbol, index_override={symbol: new_index}):
             continue
         rate_growth = Dec.from_mantissa(rng.randrange(0, 10 ** 15 + 1))
         new_rate = market.rate * (ONE + rate_growth)
         interest = ZERO
         for account in tracker.members.get(symbol, ()):
-            pos = tracker.positions[account].get(symbol)
-            if pos is None or pos.principal.is_zero():
+            pos = tracker.positions[account][symbol]
+            if pos.principal.is_zero():
                 continue
             interest = interest + (
                 tracker._accrued(pos, new_index) - tracker._accrued(pos, market.index)
@@ -698,39 +691,26 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
 
     # --- Setup: close factor, listings, prices, planned positions.
     emitter.emit("NewCloseFactor", None, {"new_close_factor": spec.close_factor})
-    for market in spec.markets:
-        emitter.emit(
-            "MarketListed",
-            market.symbol,
-            {
-                "initial_exchange_rate": market.initial_exchange_rate,
-                "initial_collateral_factor": market.collateral_factor,
-            },
-        )
-        emitter.emit("PriceUpdate", market.symbol, {"price_usd": market.price.initial})
+    # (symbol, exchange rate, collateral factor, price) in listing order.
+    listings = [
+        (m.symbol, m.initial_exchange_rate, m.collateral_factor, m.price.initial)
+        for m in spec.markets
+    ]
     if spec.planned_liquidations:
-        emitter.emit(
-            "MarketListed",
-            "PLD",
-            {"initial_exchange_rate": _PLAN_RATE, "initial_collateral_factor": _PLAN_FACTOR},
-        )
-        emitter.emit("PriceUpdate", "PLD", {"price_usd": ONE})
+        listings.append(("PLD", _PLAN_RATE, _PLAN_FACTOR, ONE))
     for i in range(len(spec.planned_liquidations)):
-        emitter.emit(
-            "MarketListed",
-            f"PLC{i}",
-            {"initial_exchange_rate": _PLAN_RATE, "initial_collateral_factor": _PLAN_FACTOR},
-        )
-        emitter.emit("PriceUpdate", f"PLC{i}", {"price_usd": _PLAN_COLL_PRICE})
+        listings.append((f"PLC{i}", _PLAN_RATE, _PLAN_FACTOR, _PLAN_COLL_PRICE))
     if spec.planned_concentration is not None:
+        listings.append(("CONC", _PLAN_RATE, _PLAN_FACTOR, ONE))
+    for symbol, rate, factor, price in listings:
         emitter.emit(
             "MarketListed",
-            "CONC",
-            {"initial_exchange_rate": _PLAN_RATE, "initial_collateral_factor": _PLAN_FACTOR},
+            symbol,
+            {"initial_exchange_rate": rate, "initial_collateral_factor": factor},
         )
-        emitter.emit("PriceUpdate", "CONC", {"price_usd": ONE})
+        emitter.emit("PriceUpdate", symbol, {"price_usd": price})
 
-    emitter.advance(1)
+    emitter.goto(emitter.block + 1)
     for i, plan in enumerate(spec.planned_liquidations):
         underlying = _PLAN_CTOKENS * _PLAN_RATE
         emitter.emit(
@@ -803,19 +783,14 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
                 new_borrow = borrow_value + amount * price
                 if power < new_borrow * _GUARD_MARGIN:
                     continue
-                if rng.random() < 0.25:
-                    payload = _interest_event(tracker, rng, symbol)
-                    if payload is not None:
-                        emitter.emit("AccrueInterest", symbol, payload)
-                        emitter.emit(
-                            "Borrow",
-                            symbol,
-                            {"account": account, "amount_underlying": amount},
-                            same_tx=True,
-                        )
-                        return True
+                payload = _interest_event(tracker, rng, symbol) if rng.random() < 0.25 else None
+                if payload is not None:
+                    emitter.emit("AccrueInterest", symbol, payload)
                 emitter.emit(
-                    "Borrow", symbol, {"account": account, "amount_underlying": amount}
+                    "Borrow",
+                    symbol,
+                    {"account": account, "amount_underlying": amount},
+                    same_tx=payload is not None,
                 )
                 return True
             if action == "repay":
@@ -882,15 +857,7 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
                         candidate = cap
                     if candidate == current or candidate <= ZERO:
                         continue
-                    safe = True
-                    for holder in tracker.members.get(symbol, ()):
-                        power, borrow_value, _ = tracker.health(
-                            holder, price_override={symbol: candidate}
-                        )
-                        if not borrow_value.is_zero() and power < borrow_value * _DRIFT_MARGIN:
-                            safe = False
-                            break
-                    if safe:
+                    if tracker.drift_safe(symbol, price_override={symbol: candidate}):
                         emitter.emit("PriceUpdate", symbol, {"price_usd": candidate})
                         return True
                 continue
@@ -898,17 +865,10 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
                 roll = rng.random()
                 if roll < 0.35:
                     new_factor = Dec(rng.randrange(60, 91)) / Dec(100)
-                    if new_factor < market.factor:
-                        safe = True
-                        for holder in tracker.members.get(symbol, ()):
-                            power, borrow_value, _ = tracker.health(
-                                holder, factor_override={symbol: new_factor}
-                            )
-                            if not borrow_value.is_zero() and power < borrow_value * _DRIFT_MARGIN:
-                                safe = False
-                                break
-                        if not safe:
-                            continue
+                    if new_factor < market.factor and not tracker.drift_safe(
+                        symbol, factor_override={symbol: new_factor}
+                    ):
+                        continue
                     emitter.emit("NewCollateralFactor", symbol, {"new_factor": new_factor})
                 elif roll < 0.55:
                     emitter.emit(
@@ -980,7 +940,7 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
                 },
             )
 
-    emitter.advance(1)
+    emitter.goto(emitter.block + 1)
     random_budget = spec.event_count - reserved
     step_pos = 0
     stall = 0
@@ -1006,37 +966,29 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
             if len(emitter.events) >= random_budget:
                 emitter.goto(next_block)
             else:
-                emitter.advance(min(rng.randrange(1, 3), next_block - emitter.block))
+                emitter.goto(min(emitter.block + rng.randrange(1, 3), next_block))
                 if emitter.block == next_block:
                     continue
         else:
             if len(emitter.events) >= random_budget:
                 break
-            emitter.advance(rng.randrange(1, 3))
+            emitter.goto(emitter.block + rng.randrange(1, 3))
         stall = 0 if made_progress or step_pos < len(steps) else stall + 1
         if stall > 1000:
             raise GenerationError("generation stalled before reaching the event budget")
 
     # --- Concentration corrections, emitted last so nothing shifts after.
     if conc is not None:
-        emitter.advance(1)
+        emitter.goto(emitter.block + 1)
         whales = ["0x" + format(0xC0000 + i, "040x") for i in range(len(conc.shares))]
-        if conc.side == "supply":
-            existing = ZERO
-            best_existing = ZERO
-            for account in sorted(tracker.positions):
-                value = tracker.supply_value_of(account)
-                existing = existing + value
-                if value > best_existing:
-                    best_existing = value
-        else:
-            existing = ZERO
-            best_existing = ZERO
-            for account in sorted(tracker.positions):
-                value = tracker.borrow_value_of(account)
-                existing = existing + value
-                if value > best_existing:
-                    best_existing = value
+        existing = ZERO
+        best_existing = ZERO
+        for account in sorted(tracker.positions):
+            _, borrow_value, collateral_value = tracker.health(account)
+            value = collateral_value if conc.side == "supply" else borrow_value
+            existing = existing + value
+            if value > best_existing:
+                best_existing = value
         share_sum = ZERO
         for share in conc.shares:
             share_sum = share_sum + share
@@ -1049,28 +1001,21 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
                     f"planted share {share} yields value {target_value}, not above the "
                     f"largest existing account ({best_existing}); infeasible ranking"
                 )
+            # CONC is priced at 1, so underlying value equals USD value.
             if conc.side == "supply":
-                # CONC is priced at 1, so underlying value equals USD value.
-                emitter.emit(
-                    "Mint",
-                    "CONC",
-                    {
-                        "account": whale,
-                        "amount_underlying": target_value,
-                        "amount_ctokens": target_value / conc_market.rate,
-                    },
-                )
+                collateral = target_value
             else:
                 collateral = (target_value * Dec(3)) / conc_market.factor
-                emitter.emit(
-                    "Mint",
-                    "CONC",
-                    {
-                        "account": whale,
-                        "amount_underlying": collateral,
-                        "amount_ctokens": collateral / conc_market.rate,
-                    },
-                )
+            emitter.emit(
+                "Mint",
+                "CONC",
+                {
+                    "account": whale,
+                    "amount_underlying": collateral,
+                    "amount_ctokens": collateral / conc_market.rate,
+                },
+            )
+            if conc.side == "borrow":
                 emitter.emit(
                     "Borrow", "CONC", {"account": whale, "amount_underlying": target_value}
                 )
@@ -1114,33 +1059,21 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
                 )
 
     write_events(events_path, events)
+    declared = spec_to_dict(spec)
     annotation = {
         "format_version": ANNOTATION_FORMAT_VERSION,
-        "seed": spec.seed,
+        **{
+            key: declared[key]
+            for key in ("seed", "close_factor", "liquidation_incentive",
+                        "planned_liquidations", "planned_concentration")
+        },
         "event_count": len(events),
         "first_block": first_block,
         "final_block": final_block,
-        "close_factor": str(spec.close_factor),
-        "liquidation_incentive": str(spec.liquidation_incentive),
-        "planned_liquidations": [
-            {
-                "account": p.account,
-                "liquidable_block": p.liquidable_block,
-                "liquidation_block": p.liquidation_block,
-            }
-            for p in spec.planned_liquidations
-        ],
-        "planned_concentration": None
-        if conc is None
-        else {"side": conc.side, "shares": [str(s) for s in conc.shares]},
         **ground_truth_to_dict(truth),
     }
     with open(annotations_path, "wb") as handle:
-        handle.write(
-            json.dumps(annotation, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode(
-                "ascii"
-            )
-        )
+        handle.write(encode_canonical(annotation))
     return GeneratedScenario(
         events_path=events_path,
         annotations_path=annotations_path,

@@ -1,8 +1,9 @@
-"""One failure contract for every command that reads a stream or a snapshot.
+"""One failure contract for every command that reads a stream or a snapshot
+or writes an output file.
 
-Whatever the library raises on a bad stream or a tampered snapshot, the
-command ends with exactly one ``error: ...`` line on stderr, nothing on
-stdout, and exit code 1.
+Whatever the library raises on a bad stream, a tampered snapshot or an
+output path that cannot be written, the command ends with exactly one
+``error: ...`` line on stderr, nothing on stdout, and exit code 1.
 """
 
 import json
@@ -63,6 +64,17 @@ _SNAPSHOT_COMMANDS = {
     "snapshot-verify": ("snapshot", "verify", "--snapshot", "{snap}"),
 }
 
+# Each command writes one output into a directory that does not exist.
+_UNWRITABLE_OUTPUTS = {
+    "liquidable-out": ("liquidable", "--events", "{stream}", "--out", "{missing}/rows.csv"),
+    "replay-snapshot-out": ("replay", "--events", "{stream}", "--snapshot-out", "{missing}/out.snap"),
+    "snapshot-save-out-path": ("snapshot", "save", "--events", "{stream}", "--out-path", "{missing}/out.snap"),
+    "gen-scenario-events-out": ("gen-scenario", "--seed", "7", "--event-count", "120",
+                                "--events-out", "{missing}/gen.jsonl", "--annotations-out", "{tmp}/gen.json"),
+    "gen-scenario-annotations-out": ("gen-scenario", "--seed", "7", "--event-count", "120",
+                                     "--events-out", "{tmp}/gen.jsonl", "--annotations-out", "{missing}/gen.json"),
+}
+
 
 def _run(capsys, argv):
     code = main(argv)
@@ -106,3 +118,28 @@ def test_tampered_snapshot(capsys, tmp_path, command):
     code, out, err = _run(capsys, argv)
     _assert_one_error_line(code, out, err)
     assert "snapshot digest mismatch" in err
+
+
+@pytest.mark.parametrize("command", sorted(_UNWRITABLE_OUTPUTS))
+def test_unwritable_output(capsys, tmp_path, command):
+    stream = tmp_path / "hand.jsonl"
+    write_events(str(stream), hand_fixture())
+    missing = tmp_path / "missing"
+    argv = [part.format(stream=stream, tmp=tmp_path, missing=missing) for part in _UNWRITABLE_OUTPUTS[command]]
+    code, out, err = _run(capsys, argv)
+    _assert_one_error_line(code, out, err)
+    assert str(missing) in err
+
+
+def test_broken_pipe_exits_silently(capsys, monkeypatch, tmp_path):
+    stream = tmp_path / "hand.jsonl"
+    write_events(str(stream), hand_fixture())
+
+    def closed_pipe(text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr("sys.stdout.write", closed_pipe)
+    code = main(["replay", "--events", str(stream)])
+    monkeypatch.undo()
+    assert code == 1
+    assert capsys.readouterr().err == ""

@@ -1,6 +1,10 @@
+import ast
 import json
+from pathlib import Path
 
 import pytest
+
+import plfkit.scenarios
 
 from plfkit.analytics import concentration, track_efficiency
 from plfkit.engine import replay
@@ -31,6 +35,25 @@ PLANNED = "0x" + "ab" * 20
 
 def gen(spec, tmp_path, stem="scn"):
     return generate(spec, str(tmp_path / f"{stem}.jsonl"), str(tmp_path / f"{stem}.json"))
+
+
+def test_oracle_imports_no_engine_code():
+    """The naive replayer checks the engine, so it may share only the Dec
+    arithmetic, the event records and the canonical JSON encoding."""
+    allowed = {"events": None, "fixedpoint": None, "model": {"encode_canonical"}}
+    tree = ast.parse(Path(plfkit.scenarios.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not any(alias.name.split(".")[0] == "plfkit" for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level == 0:
+                if module.split(".")[0] != "plfkit":
+                    continue
+                module = module[len("plfkit."):]
+            assert module in allowed, f"scenarios imports plfkit module {module or '(package)'}"
+            names = {alias.name for alias in node.names}
+            assert allowed[module] is None or names <= allowed[module], f"scenarios imports {names} from {module}"
 
 
 class TestSpecSerialization:
@@ -64,6 +87,20 @@ class TestSpecValidation:
         ({"markets": []}, "market"),
         ({"checkpoint_count": 0}, "checkpoint_count"),
         ({"checkpoint_count": 51}, "checkpoint_count"),
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"seed": True}, "seed must be an integer"),
+        ({"event_count": "100"}, "event_count must be an integer"),
+        ({"checkpoint_count": "5"}, "checkpoint_count must be an integer"),
+        ({"accounts": 1.5}, "accounts must be an integer"),
+        ({"markets": [MarketSpec(5, Dec("0.02"), Dec("0.75"), PricePath(Dec(1)))]}, "symbol"),
+        ({"markets": [MarketSpec("", Dec("0.02"), Dec("0.75"), PricePath(Dec(1)))]}, "symbol"),
+        ({"markets": [MarketSpec("DAI", Dec("0.02"), Dec("0.75"), PricePath(Dec(1), max_step_bps="5"))]},
+         "max_step_bps must be an integer"),
+        ({"planned_liquidations": [PlannedLiquidation(PLANNED, "40", 42)]},
+         "liquidable_block must be an integer"),
+        ({"planned_liquidations": [PlannedLiquidation(PLANNED, 40, 42.0)]},
+         "liquidation_block must be an integer"),
+        ({"planned_concentration": ConcentrationPlan("sideways", (Dec("0.3"),))}, "side"),
     ])
     def test_scalar_bounds(self, tmp_path, overrides, message):
         with pytest.raises(GenerationError, match=message):

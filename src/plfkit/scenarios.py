@@ -330,8 +330,9 @@ class _NaiveState:
         return power < borrow_value
 
     def drift_safe(self, symbol: str, **override: dict[str, Dec]) -> bool:
-        """Whether every borrower in ``symbol`` keeps power >= _DRIFT_MARGIN
-        times its borrow value under one of ``health()``'s overrides."""
+        """Whether every holder in ``symbol`` that borrows keeps power >=
+        _DRIFT_MARGIN times its borrow value under one of ``health()``'s
+        overrides."""
         for account in self.members.get(symbol, ()):
             power, borrow_value, _ = self.health(account, **override)
             if not borrow_value.is_zero() and power < borrow_value * _DRIFT_MARGIN:
@@ -1001,8 +1002,8 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
                     f"planted share {share} yields value {target_value}, not above the "
                     f"largest existing account ({best_existing}); infeasible ranking"
                 )
-            # CONC is priced at 1, so underlying value equals USD value.
             if conc.side == "supply":
+                # CONC is priced at 1, so underlying value equals USD value.
                 collateral = target_value
             else:
                 collateral = (target_value * Dec(3)) / conc_market.factor

@@ -45,6 +45,34 @@ _STREAMS = {
     ),
 }
 
+# Streams that replay cleanly but cannot be valued: each ends `efficiency`,
+# which values every account an event touched, in this one line.
+_VALUATION_FAILURES = {
+    # Power 10^50 against a debt of 10^-18: only the power/borrow ratio
+    # leaves the carrier.
+    "ratio-overflow": (
+        [
+            make_event(1, 0, 0, "MarketListed", "DAI",
+                       initial_exchange_rate=Dec(1), initial_collateral_factor=Dec(1)),
+            make_event(1, 1, 0, "PriceUpdate", "DAI", price_usd=Dec(1)),
+            make_event(2, 0, 0, "Mint", "DAI", account=ACCT_A,
+                       amount_underlying=Dec(10 ** 50), amount_ctokens=Dec(10 ** 50)),
+            make_event(3, 0, 0, "Borrow", "DAI", account=ACCT_A,
+                       amount_underlying=Dec("0.000000000000000001")),
+        ],
+        "error: mantissa exceeds the signed 256-bit carrier\n",
+    ),
+    "mint-without-price": (
+        [
+            make_event(1, 0, 0, "MarketListed", "ETH",
+                       initial_exchange_rate=Dec("0.05"), initial_collateral_factor=Dec("0.6")),
+            make_event(2, 0, 0, "Mint", "ETH", account=ACCT_A,
+                       amount_underlying=Dec(5), amount_ctokens=Dec(100)),
+        ],
+        "error: no price recorded for asset 'ETH'\n",
+    ),
+}
+
 _STREAM_COMMANDS = {
     "replay": ("replay",),
     "liquidable": ("liquidable",),
@@ -102,6 +130,18 @@ def test_bad_stream(capsys, tmp_path, command, stream):
     _assert_one_error_line(code, out, err)
     assert err == expected
     assert not (tmp_path / "never.snap").exists()
+
+
+@pytest.mark.parametrize("stream", sorted(_VALUATION_FAILURES))
+def test_efficiency_valuation_failure(capsys, tmp_path, stream):
+    events, expected = _VALUATION_FAILURES[stream]
+    path = tmp_path / "unvaluable.jsonl"
+    write_events(str(path), events)
+    assert main(["replay", "--events", str(path)]) == 0
+    capsys.readouterr()
+    code, out, err = _run(capsys, ["efficiency", "--events", str(path)])
+    _assert_one_error_line(code, out, err)
+    assert err == expected
 
 
 @pytest.mark.parametrize("command", sorted(_SNAPSHOT_COMMANDS))

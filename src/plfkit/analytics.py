@@ -2,8 +2,12 @@
 
 track_efficiency replays a stream while watching account health after
 every event, timing how long positions stay liquidable before someone
-liquidates them. Only accounts whose inputs changed are re-evaluated
-unless the caller forces full re-evaluation (the oracle-test mode).
+liquidates them. Only accounts an event could have touched are
+re-evaluated, through risk.LiquidableCache: one re-priced term per changed
+(account, market), with each account's sums re-added in holdings order, so
+the sign and every failure are exactly those of a full valuation. Full
+re-evaluation values every account with account_health after every event,
+without the cache: it is the uncached cross-check (the oracle-test mode).
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from .engine import apply_event
 from .events import EventRecord, OrderingKey
 from .fixedpoint import ZERO, Dec
 from .model import GlobalState
-from .risk import account_health
+from .risk import LiquidableCache, account_health
 
 NOT_LIQUIDABLE_WARNING = "not-liquidable-at-engine-precision"
 
@@ -71,12 +75,17 @@ def track_efficiency(
     timeline = EfficiencyTimeline()
     open_streaks: dict[str, OrderingKey] = {}
     members: dict[str, set[str]] = {}  # market symbol -> accounts ever positioned
+    if full_reeval:
+        def liquidable(account: str) -> bool:
+            return account_health(state, account).liquidable
+    else:
+        liquidable = LiquidableCache(state).liquidable
 
     for account, holdings in state.participants.items():
         for symbol in holdings:
             members.setdefault(symbol, set()).add(account)
     for account in state.participants:
-        if account_health(state, account).liquidable:
+        if liquidable(account):
             key = state.cursor if state.cursor is not None else OrderingKey(0, 0, 0)
             open_streaks[account] = key
 
@@ -129,10 +138,10 @@ def track_efficiency(
             )
 
         for account in sorted(dirty):
-            liquidable = account_health(state, account).liquidable
-            if liquidable and account not in open_streaks:
+            underwater = liquidable(account)
+            if underwater and account not in open_streaks:
                 open_streaks[account] = event.key
-            elif not liquidable and account in open_streaks:
+            elif not underwater and account in open_streaks:
                 del open_streaks[account]  # recovered: closes without record
 
     for account in sorted(open_streaks):

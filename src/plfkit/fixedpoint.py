@@ -57,6 +57,12 @@ def trunc_mul(a: int, b: int) -> int:
     return checked(product // SCALE if product >= 0 else -(-product // SCALE))
 
 
+def trunc_div(a: int, b: int) -> int:
+    """Quotient of two mantissas at 18 digits, truncated toward zero and
+    checked against the carrier: the mantissa of Dec / Dec (b nonzero)."""
+    return checked(_trunc_div(a * SCALE, b))
+
+
 def _parse_mantissa(text: str) -> int:
     """Mantissa of a decimal literal, checked against the carrier."""
     if _DECIMAL.fullmatch(text) is None:
@@ -170,7 +176,7 @@ class Dec:
             return NotImplemented
         if rhs.mantissa == 0:
             raise ZeroDivisionError("Dec division by zero")
-        return Dec.from_mantissa(_trunc_div(self.mantissa * SCALE, rhs.mantissa))
+        return Dec.from_mantissa(trunc_div(self.mantissa, rhs.mantissa))
 
     def __rtruediv__(self, other: object) -> "Dec":
         lhs = self._coerce(other)

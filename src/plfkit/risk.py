@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fixedpoint import ONE, ZERO, Dec, DecOverflowError, checked, trunc_mul
+from .fixedpoint import ONE, SCALE, ZERO, Dec, DecOverflowError, checked, trunc_div, trunc_mul
 from .model import GlobalState, MarketState, MissingPriceError, Position
 
 
@@ -34,6 +34,24 @@ _EMPTY_HEALTH = AccountHealth(ZERO, ZERO, ZERO, ZERO, None)
 
 # power, borrow value, collateral value, unpriced terms, missing price
 _Sums = tuple[int, int, int, tuple[int, int, int] | None, str | None]
+
+
+def _terms(position: Position, market: MarketState) -> tuple[int, int, int]:
+    """One position's unpriced terms as mantissas: ctokens * rate, that
+    times the collateral factor, and the accrued borrow."""
+    base = trunc_mul(position.ctoken_balance.mantissa, market.exchange_rate.mantissa)
+    return (
+        base,
+        trunc_mul(base, market.collateral_factor.mantissa),
+        position.accrued_borrow(market.borrow_index).mantissa,
+    )
+
+
+def _priced(terms: tuple[int, int, int], price: int) -> tuple[int, int, int]:
+    """Collateral value, collateral power and borrow value of one
+    position's terms at ``price`` (a mantissa)."""
+    base, power_base, accrued = terms
+    return trunc_mul(base, price), trunc_mul(power_base, price), trunc_mul(accrued, price)
 
 
 def _sums(
@@ -65,15 +83,14 @@ def _sums(
                 if terms is None:
                     raise MissingPriceError(symbol)
                 return power, borrow, collateral, terms, symbol
-        base = trunc_mul(position.ctoken_balance.mantissa, market.exchange_rate.mantissa)
-        power_base = trunc_mul(base, market.collateral_factor.mantissa)
-        accrued = position.accrued_borrow(market.borrow_index).mantissa
+        position_terms = _terms(position, market)
         if symbol == unpriced:
-            terms = (base, power_base, accrued)
+            terms = position_terms
             continue
-        collateral = checked(collateral + trunc_mul(base, price.mantissa))
-        power = checked(power + trunc_mul(power_base, price.mantissa))
-        borrow = checked(borrow + trunc_mul(accrued, price.mantissa))
+        collateral_term, power_term, borrow_term = _priced(position_terms, price.mantissa)
+        collateral = checked(collateral + collateral_term)
+        power = checked(power + power_term)
+        borrow = checked(borrow + borrow_term)
     return power, borrow, collateral, terms, None
 
 
@@ -118,6 +135,64 @@ def account_health(state: GlobalState, account: str) -> AccountHealth:
     this account lacks a price.
     """
     return _health(state, account, state.price_table.prices)
+
+
+class LiquidableCache:
+    """``account_health(state, account).liquidable`` for the accounts of
+    one state, re-pricing only the positions whose inputs changed.
+
+    Each (account, market) keeps the collateral, power and borrow products
+    of its last valuation beside the seven values they came from: the
+    position's cToken balance, borrow principal and index snapshot, the
+    market's exchange rate, collateral factor and borrow index, and the
+    price. A product is reused only while all seven are the same objects
+    or equal, so the answer stays exact whatever changed the state: an
+    event, a direct mutation or a replaced position. Sums are re-added in
+    holdings order with the carrier check at every partial sum, and the
+    ratio account_health computes is checked too, so a valuation fails
+    exactly where account_health fails. Entries are bounded by accounts
+    times markets.
+    """
+
+    def __init__(self, state: GlobalState):
+        self._state = state
+        self._products: dict[str, dict[str, tuple[tuple, tuple[int, int, int]]]] = {}
+
+    def liquidable(self, account: str) -> bool:
+        state = self._state
+        holdings = state.participants.get(account)
+        if not holdings:
+            return False
+        markets, prices = state.markets, state.price_table.prices
+        cached = self._products.get(account)
+        if cached is None:
+            cached = self._products[account] = {}
+        power = borrow = collateral = 0
+        for symbol, position in holdings.items():
+            ctokens, principal = position.ctoken_balance, position.borrow_principal
+            if not ctokens.mantissa and not principal.mantissa:
+                continue  # empty: valued as nothing, price or not
+            market = markets[symbol]
+            price = prices.get(symbol)
+            if price is None:
+                raise MissingPriceError(symbol)
+            inputs = (
+                ctokens, principal, position.borrow_index_snapshot, market.exchange_rate,
+                market.collateral_factor, market.borrow_index, price,
+            )
+            entry = cached.get(symbol)
+            if entry is None or entry[0] != inputs:
+                entry = cached[symbol] = inputs, _priced(_terms(position, market), price.mantissa)
+            collateral_term, power_term, borrow_term = entry[1]
+            collateral = checked(collateral + collateral_term)
+            power = checked(power + power_term)
+            borrow = checked(borrow + borrow_term)
+        surplus = checked(power - borrow)
+        # account_health's ratio power / borrow must fit the carrier too. As
+        # |power| is below the bound, it can only overflow when |borrow| < 1.
+        if borrow and -SCALE < borrow < SCALE:
+            trunc_div(power, borrow)
+        return surplus < 0
 
 
 def liquidable_accounts(state: GlobalState) -> dict[str, AccountHealth]:

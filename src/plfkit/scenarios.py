@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from random import Random
-from typing import Any, Literal, Sequence
+from typing import Any, Callable, Literal, Sequence
 
 from .events import (
     EventRecord,
     OrderingKey,
+    _dec_fraction,
+    _dec_nonneg,
+    _dec_positive,
     is_valid_address,
     write_events,
 )
@@ -580,9 +583,20 @@ def _require_int(value: Any, name: str) -> None:
         raise GenerationError(f"{name} must be an integer, not {value!r}")
 
 
+def _require_range(check: Callable[[object], Dec], value: Dec, name: str) -> None:
+    # The parse layer's checker for the field the value is written to, so
+    # that a spec cannot describe a stream that replay rejects.
+    try:
+        check(str(value))
+    except ValueError as exc:
+        raise GenerationError(f"{name} {value}: {exc}") from None
+
+
 def _validate_spec(spec: ScenarioSpec) -> None:
     for name in ("seed", "accounts", "event_count", "checkpoint_count"):
         _require_int(getattr(spec, name), name)
+    _require_range(_dec_fraction, spec.close_factor, "close_factor")
+    _require_range(_dec_nonneg, spec.liquidation_incentive, "liquidation_incentive")
     if not 0 <= spec.seed < 2 ** 64:
         raise GenerationError("seed must be an unsigned 64-bit integer")
     if spec.accounts < 1:
@@ -602,6 +616,8 @@ def _validate_spec(spec: ScenarioSpec) -> None:
     if clash:
         raise GenerationError(f"market symbols {sorted(clash)} are reserved for planned structure")
     for market in spec.markets:
+        _require_range(_dec_positive, market.initial_exchange_rate, f"market {market.symbol} initial_exchange_rate")
+        _require_range(_dec_fraction, market.collateral_factor, f"market {market.symbol} collateral_factor")
         floor, cap = market.price.bounds()
         if not (ZERO < floor <= market.price.initial <= cap):
             raise GenerationError(f"price bounds for {market.symbol} must satisfy 0 < floor <= initial <= cap")

@@ -1,4 +1,8 @@
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from plfkit.analytics import (
     NOT_LIQUIDABLE_WARNING,
@@ -7,15 +11,18 @@ from plfkit.analytics import (
     FundsRow,
     LiquidationRecord,
     Streak,
+    _seized_value,
     concentration,
     efficiency_cdf,
     funds_time_series,
     track_efficiency,
 )
-from plfkit.engine import TransitionError, replay
-from plfkit.events import OrderingKey
-from plfkit.fixedpoint import ONE, ZERO, Dec
-from plfkit.model import GlobalState, MarketState, Position
+from plfkit.engine import TransitionError, apply_event, replay
+from plfkit.events import EventRecord, OrderingKey, read_events
+from plfkit.fixedpoint import MANTISSA_BOUND, ONE, ZERO, Dec, DecOverflowError
+from plfkit.model import GlobalState, MarketState, MissingPriceError, Position, ProtocolParams
+from plfkit.risk import LiquidableCache, account_health
+from plfkit.scenarios import default_spec, generate
 from streams import (
     ACCT_A,
     ACCT_B,
@@ -247,3 +254,409 @@ class TestCdfStreamIntegrity:
             (ACCT_C, 16, "10"),
             (ACCT_D, 30, "5"),
         ]
+
+
+# -- Reference tracker ----------------------------------------------------------
+#
+# track_efficiency as written before it valued accounts through
+# risk.LiquidableCache: one full account_health per dirty account. Kept here
+# as the reference the cached valuation must match exactly.
+
+
+def reference_track_efficiency(
+    state: GlobalState, events, full_reeval: bool = False
+) -> EfficiencyTimeline:
+    timeline = EfficiencyTimeline()
+    open_streaks: dict[str, OrderingKey] = {}
+    members: dict[str, set[str]] = {}
+
+    for account, holdings in state.participants.items():
+        for symbol in holdings:
+            members.setdefault(symbol, set()).add(account)
+    for account in state.participants:
+        if account_health(state, account).liquidable:
+            key = state.cursor if state.cursor is not None else OrderingKey(0, 0, 0)
+            open_streaks[account] = key
+
+    for event in events:
+        payload = event.payload
+        apply_event(state, event)
+
+        if event.kind == "LiquidateBorrow":
+            borrower = payload["borrower"]
+            start = open_streaks.pop(borrower, None)
+            if start is None:
+                record = LiquidationRecord(
+                    account=borrower,
+                    key=event.key,
+                    blocks_elapsed=0,
+                    seized_value_usd=_seized_value(state, event),
+                    warning=NOT_LIQUIDABLE_WARNING,
+                )
+                timeline.warnings.append(
+                    f"event {event.key.block}:{event.key.tx_index}:{event.key.log_index}: "
+                    f"{NOT_LIQUIDABLE_WARNING}: {borrower}"
+                )
+            else:
+                record = LiquidationRecord(
+                    account=borrower,
+                    key=event.key,
+                    blocks_elapsed=event.key.block - start.block,
+                    seized_value_usd=_seized_value(state, event),
+                )
+                timeline.streaks.append(Streak(account=borrower, start=start, end=event.key))
+            timeline.liquidations.append(record)
+
+        if full_reeval:
+            dirty = set(state.participants)
+        elif event.kind in ("Mint", "Redeem", "Borrow", "RepayBorrow"):
+            dirty = {payload["account"]}
+        elif event.kind == "LiquidateBorrow":
+            dirty = {payload["borrower"], payload["liquidator"]}
+        elif event.kind in ("AccrueInterest", "NewCollateralFactor", "PriceUpdate"):
+            dirty = set(members.get(event.market or "", ()))
+        else:
+            dirty = set()
+
+        if event.kind in ("Mint", "Redeem", "Borrow", "RepayBorrow"):
+            members.setdefault(event.market, set()).add(payload["account"])
+        elif event.kind == "LiquidateBorrow":
+            members.setdefault(event.market, set()).add(payload["borrower"])
+            members.setdefault(payload["collateral_market"], set()).update(
+                (payload["borrower"], payload["liquidator"])
+            )
+
+        for account in sorted(dirty):
+            liquidable = account_health(state, account).liquidable
+            if liquidable and account not in open_streaks:
+                open_streaks[account] = event.key
+            elif not liquidable and account in open_streaks:
+                del open_streaks[account]
+
+    for account in sorted(open_streaks):
+        timeline.streaks.append(Streak(account=account, start=open_streaks[account], end=None))
+    return timeline
+
+
+def outcome(fn, *args):
+    """The result, or the failure as its type and text."""
+    try:
+        return "ok", fn(*args)
+    except (TransitionError, MissingPriceError, DecOverflowError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# -- Random books, events and direct writes --------------------------------------
+
+SYMBOLS = ("AAA", "BBB", "CCC")
+ACCOUNTS = tuple(f"0x{i:040x}" for i in range(1, 7))
+UNIT = 10 ** 18
+
+
+def mantissas(low: int, high: int):
+    return st.integers(low, high).map(Dec.from_mantissa)
+
+
+@st.composite
+def books(draw):
+    """Random three-market books of the shape replay produces.
+
+    Holdings come in random market order, with empty positions, pure
+    suppliers and pure borrowers. Market totals equal the position sums,
+    so that the events drawn against a book apply. Collateral power and
+    debt land within a few times of each other, so that price moves carry
+    accounts across the liquidation line.
+    """
+    state = GlobalState.fresh(ProtocolParams(Dec("0.5"), Dec("0.1")))
+    for symbol in SYMBOLS:
+        market = MarketState.listed(
+            symbol, draw(mantissas(UNIT // 66, UNIT // 40)), draw(mantissas(UNIT * 3 // 5, UNIT * 9 // 10))
+        )
+        market.borrow_index = draw(mantissas(UNIT, UNIT + UNIT // 10))
+        state.markets[symbol] = market
+        state.price_table.set(symbol, draw(mantissas(UNIT // 2, 2 * UNIT)))
+    for account in draw(st.lists(st.sampled_from(ACCOUNTS), unique=True, min_size=1, max_size=6)):
+        holdings = state.participants[account] = {}
+        for symbol in draw(st.permutations(SYMBOLS))[: draw(st.integers(0, 3))]:
+            market = state.markets[symbol]
+            kind = draw(st.sampled_from(("empty", "supply", "borrow", "both")))
+            ctokens = draw(st.integers(2000 * UNIT, 8000 * UNIT)) if kind in ("supply", "both") else 0
+            principal = draw(st.integers(20 * UNIT, 100 * UNIT)) if kind in ("borrow", "both") else 0
+            snapshot = draw(mantissas(UNIT, market.borrow_index.mantissa))
+            position = holdings[symbol] = Position(
+                Dec.from_mantissa(ctokens), Dec.from_mantissa(principal), snapshot
+            )
+            market.total_ctoken_supply = market.total_ctoken_supply + position.ctoken_balance
+            market.total_borrows = market.total_borrows + position.accrued_borrow(market.borrow_index)
+    return state
+
+
+EVENT_KINDS = (
+    "PriceUpdate", "AccrueInterest", "NewCollateralFactor",
+    "Mint", "Redeem", "Borrow", "RepayBorrow", "LiquidateBorrow",
+)
+
+
+def draw_event(data, state: GlobalState, block: int) -> EventRecord:
+    """One event that applies to ``state``, drawn against its balances."""
+    kind = data.draw(st.sampled_from(EVENT_KINDS))
+    symbol = data.draw(st.sampled_from(SYMBOLS))
+    account = data.draw(st.sampled_from(ACCOUNTS))
+    market = state.markets[symbol]
+    position = state.position(account, symbol) or Position()
+    if kind == "PriceUpdate":
+        payload = {"price_usd": data.draw(mantissas(UNIT // 2, 2 * UNIT))}
+    elif kind == "NewCollateralFactor":
+        payload = {"new_factor": data.draw(mantissas(UNIT // 2, UNIT * 9 // 10))}
+    elif kind == "AccrueInterest":
+        new_index = market.borrow_index * (ONE + data.draw(mantissas(0, UNIT // 20)))
+        interest = ZERO
+        for holdings in state.participants.values():
+            held = holdings.get(symbol)
+            if held is not None:
+                interest = interest + held.accrued_borrow(new_index) - held.accrued_borrow(market.borrow_index)
+        payload = {
+            "new_borrow_index": new_index,
+            "new_exchange_rate": market.exchange_rate * (ONE + data.draw(mantissas(0, UNIT // 100))),
+            "interest_accumulated_underlying": interest,
+        }
+    elif kind in ("Mint", "Redeem"):
+        limit = 4000 * UNIT if kind == "Mint" else position.ctoken_balance.mantissa
+        ctokens = Dec.from_mantissa(data.draw(st.integers(0, limit)))
+        payload = {"account": account, "amount_underlying": ctokens * market.exchange_rate,
+                   "amount_ctokens": ctokens}
+    elif kind == "Borrow":
+        payload = {"account": account, "amount_underlying": data.draw(mantissas(0, 60 * UNIT))}
+    else:
+        accrued = position.accrued_borrow(market.borrow_index).mantissa
+        amount = data.draw(mantissas(0, accrued))
+        if kind == "RepayBorrow":
+            payload = {"account": account, "payer": account, "amount_underlying": amount}
+        else:
+            collateral_symbol = data.draw(st.sampled_from(SYMBOLS))
+            collateral = state.position(account, collateral_symbol) or Position()
+            payload = {
+                "borrower": account,
+                "liquidator": data.draw(st.sampled_from(ACCOUNTS)),
+                "repay_amount_underlying": amount,
+                "collateral_market": collateral_symbol,
+                "seized_ctokens": data.draw(mantissas(0, collateral.ctoken_balance.mantissa)),
+            }
+    return make_event(block, 0, 0, kind, symbol, **payload)
+
+
+def draw_events(data, state: GlobalState, count: int) -> list[EventRecord]:
+    """``count`` events following ``state``'s cursor, each drawn against
+    the state the ones before it leave (``state`` itself is untouched)."""
+    sim = state.copy()
+    first = 1 if sim.cursor is None else sim.cursor.block + 1
+    events = []
+    for block in range(first, first + count):
+        event = draw_event(data, sim, block)
+        events.append(event)
+        try:
+            apply_event(sim, event)
+        except TransitionError:
+            break  # both trackers must then fail on it alike
+    return events
+
+
+POSITION_FIELDS = ("ctoken_balance", "borrow_principal", "borrow_index_snapshot")
+MARKET_FIELDS = ("exchange_rate", "collateral_factor", "borrow_index")
+WRITES = POSITION_FIELDS + MARKET_FIELDS + ("price", "drop-price", "reorder", "equal-copy", "empty-position")
+
+
+def draw_write(data, state: GlobalState, extreme: bool = False):
+    """One direct write that bypasses the engine, returned as a function so
+    that equal states can take the same write. Each of the first seven
+    changes exactly one valuation input, often to a tenth to ten times its
+    value so that it moves accounts across the line. With ``extreme``,
+    values reach the carrier, debts shrink to one mantissa unit and prices
+    may vanish, so that valuations overflow, the ratio included, or miss a
+    price."""
+    what = data.draw(st.sampled_from(WRITES if extreme else WRITES[:7] + WRITES[8:]))
+    # Mostly a position the write changes the value of: a non-empty one,
+    # or for the index snapshot one with a debt.
+    positions = [
+        (account, symbol)
+        for account, holdings in sorted(state.participants.items())
+        for symbol, position in sorted(holdings.items())
+        if position.borrow_principal or (what != "borrow_index_snapshot" and position.ctoken_balance)
+    ]
+    anywhere = st.tuples(st.sampled_from(sorted(state.participants) or ACCOUNTS), st.sampled_from(sorted(state.markets)))
+    account, symbol = data.draw(st.sampled_from(positions) | anywhere if positions else anywhere)
+    if what in POSITION_FIELDS:
+        current = getattr(state.position(account, symbol) or Position(), what)
+    elif what in MARKET_FIELDS:
+        current = getattr(state.markets[symbol], what)
+    else:
+        current = state.price_table.prices.get(symbol, ONE)
+    # Uniform in the exponent, up to the carrier.
+    huge = st.integers(66, 76).flatmap(
+        lambda exponent: st.integers(10 ** exponent, min(10 ** (exponent + 1), MANTISSA_BOUND - 1))
+    ) if extreme else st.nothing()
+    ranges = {
+        "ctoken_balance": st.integers(0, 8000 * UNIT) | huge,
+        "borrow_principal": st.integers(0, 100 * UNIT) | (st.integers(1, 10) if extreme else st.nothing()) | huge,
+        "borrow_index_snapshot": st.integers(UNIT // 2, UNIT + UNIT // 10),
+        "exchange_rate": st.integers(UNIT // 66, UNIT // 40) | huge,
+        "collateral_factor": st.integers(0, UNIT),
+        "borrow_index": st.integers(UNIT, UNIT + UNIT // 5) | huge,
+        "price": st.integers(UNIT // 2, 2 * UNIT) | huge,
+    }
+    value = None
+    if what in ranges:
+        scaled = st.integers(1, 100).map(
+            lambda tenths: min(max(current.mantissa * tenths // 10, 1), MANTISSA_BOUND - 1)
+        )
+        value = Dec.from_mantissa(data.draw(ranges[what] | scaled))
+
+    def write(target: GlobalState) -> None:
+        if what == "price":
+            target.price_table.set(symbol, value)
+        elif what == "drop-price":
+            target.price_table.prices.pop(symbol, None)
+        elif what in MARKET_FIELDS:
+            setattr(target.markets[symbol], what, value)
+        elif what == "reorder":  # the position moves to the end of the holdings
+            holdings = target.participants.get(account, {})
+            if symbol in holdings:
+                holdings[symbol] = holdings.pop(symbol)
+        elif what == "equal-copy":  # same values, new objects
+            position = target.position(account, symbol)
+            if position is not None:
+                target.participants[account][symbol] = Position(
+                    Dec(str(position.ctoken_balance)), Dec(str(position.borrow_principal)),
+                    Dec(str(position.borrow_index_snapshot)),
+                )
+        elif what == "empty-position":
+            target.position(account, symbol, create=True)
+        else:
+            setattr(target.position(account, symbol, create=True), what, value)
+
+    return write
+
+
+def generated_stream(seed: int, event_count: int, accounts: int) -> list[EventRecord]:
+    with tempfile.TemporaryDirectory() as tmp:
+        generate(default_spec(seed, event_count, accounts), f"{tmp}/s.jsonl", f"{tmp}/s.json")
+        return read_events(f"{tmp}/s.jsonl")
+
+
+def failing_book(*holdings: tuple[str, int, int, int, int | None]) -> GlobalState:
+    """One account's positions, each (symbol, ctokens, principal, factor,
+    price) in mantissas, at exchange rate and borrow index 1. A price of
+    None leaves the market unpriced."""
+    state = GlobalState.fresh()
+    positions = state.participants[ACCT_A] = {}
+    for symbol, ctokens, principal, factor, price in holdings:
+        state.markets[symbol] = MarketState.listed(symbol, ONE, Dec.from_mantissa(factor))
+        if price is not None:
+            state.price_table.set(symbol, Dec.from_mantissa(price))
+        positions[symbol] = Position(Dec.from_mantissa(ctokens), Dec.from_mantissa(principal))
+    return state
+
+
+class TestLiquidableCacheFailures:
+    """Where account_health fails, the cached valuation fails alike."""
+
+    @pytest.mark.parametrize("state,failure", [
+        # Power 10^50 against a debt of 10^-18: only the ratio overflows.
+        (failing_book(("DAI", 10 ** 68, 1, UNIT, UNIT)), "DecOverflowError"),
+        # Each collateral term is 0.6 of the carrier, so their sum leaves
+        # it; power, at factor 0.1, stays inside.
+        (failing_book(("DAI", 3 * 10 ** 76, 0, UNIT // 10, UNIT),
+                      ("ETH", 3 * 10 ** 76, 0, UNIT // 10, UNIT)), "DecOverflowError"),
+        # A term that overflows before a missing price, and after one.
+        (failing_book(("DAI", 10 ** 68, 0, UNIT, 10 ** 48), ("ETH", UNIT, 0, UNIT, None)),
+         "DecOverflowError"),
+        (failing_book(("ETH", UNIT, 0, UNIT, None), ("DAI", 10 ** 68, 0, UNIT, 10 ** 48)),
+         "MissingPriceError"),
+        # An empty position needs no price.
+        (failing_book(("ETH", 0, 0, UNIT, None), ("DAI", UNIT, UNIT, UNIT, UNIT)), "ok"),
+    ], ids=["ratio", "collateral-sum", "overflow-first", "missing-price-first", "empty-unpriced"])
+    def test_fails_where_account_health_fails(self, state, failure):
+        expected = outcome(lambda: account_health(state, ACCT_A).liquidable)
+        assert expected[0] == failure
+        cache = LiquidableCache(state)
+        assert outcome(cache.liquidable, ACCT_A) == expected
+        assert outcome(cache.liquidable, ACCT_A) == expected  # and again, from the cache
+
+    def test_tracking_fails_like_the_reference(self):
+        state = failing_book(("DAI", 10 ** 68, 1, UNIT, UNIT))
+        state.participants[ACCT_B] = {"ETH": Position(Dec(1))}  # ETH is unpriced
+        state.markets["ETH"] = MarketState.listed("ETH", ONE, ONE)
+        events = [make_event(1, 0, 0, "PriceUpdate", "DAI", price_usd=Dec(2))]
+        assert outcome(track_efficiency, state.copy(), events) == outcome(
+            reference_track_efficiency, state.copy(), events
+        )
+
+
+class TestCachedValuationAgainstReference:
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(120, 320), st.integers(3, 8), st.data())
+    def test_generated_streams(self, seed, event_count, accounts, data):
+        events = generated_stream(seed, event_count, accounts)
+        assert track_efficiency(GlobalState.fresh(), events) == reference_track_efficiency(
+            GlobalState.fresh(), events
+        )
+        # Resumed from a mid-stream state, itself copied or written to.
+        cut = data.draw(st.integers(0, len(events)))
+        state, _ = replay(GlobalState.fresh(), events[:cut])
+        between = data.draw(st.sampled_from(("copy", "write")))
+        if between == "copy":
+            state = state.copy()
+        elif state.markets:
+            draw_write(data, state)(state)
+        other = state.copy()
+        assert outcome(track_efficiency, state, events[cut:]) == outcome(
+            reference_track_efficiency, other, events[cut:]
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(books(), st.data())
+    def test_hand_built_books(self, book, data):
+        ours, theirs = book.copy(), book.copy()
+        for _ in range(3):
+            events = draw_events(data, ours, data.draw(st.integers(0, 10)))
+            assert outcome(track_efficiency, ours, events) == outcome(
+                reference_track_efficiency, theirs, events
+            )
+            between = data.draw(st.sampled_from(("none", "copy", "write")))
+            if between == "copy":
+                ours, theirs = ours.copy(), theirs.copy()
+            elif between == "write":
+                write = draw_write(data, ours)
+                write(ours)
+                write(theirs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(books(), st.booleans(), st.data())
+    def test_cached_sign_equals_fresh_valuation_after_every_step(self, book, extreme, data):
+        cache = LiquidableCache(book)
+        block = 1
+        for _ in range(data.draw(st.integers(1, 20))):
+            if data.draw(st.booleans()):
+                draw_write(data, book, extreme)(book)
+            else:
+                try:
+                    apply_event(book, draw_event(data, book, block))
+                except TransitionError:
+                    pass  # the state may hold a partial write; it must still agree
+                except DecOverflowError:
+                    pass  # extreme values: no event could be drawn against them
+                block += 1
+            for account in sorted(book.participants):
+                assert outcome(cache.liquidable, account) == outcome(
+                    lambda name: account_health(book, name).liquidable, account
+                )
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.integers(0, 2 ** 32), st.integers(120, 320), st.integers(3, 8))
+    def test_cached_sign_equals_fresh_valuation_on_generated_streams(self, seed, event_count, accounts):
+        state = GlobalState.fresh()
+        cache = LiquidableCache(state)
+        for event in generated_stream(seed, event_count, accounts):
+            apply_event(state, event)
+            for account in sorted(state.participants):
+                assert cache.liquidable(account) == account_health(state, account).liquidable

@@ -1,9 +1,10 @@
-"""One failure contract for every command that reads a stream or a snapshot
-or writes an output file.
+"""One failure contract for every command that reads a stream, a snapshot
+or a scenario spec, or writes an output file.
 
-Whatever the library raises on a bad stream, a tampered snapshot or an
-output path that cannot be written, the command ends with exactly one
-``error: ...`` line on stderr, nothing on stdout, and exit code 1.
+Whatever the library raises on a bad stream, a tampered snapshot, an
+out-of-range spec or an output path that cannot be written, the command
+ends with exactly one ``error: ...`` line on stderr, nothing on stdout,
+and exit code 1.
 """
 
 import json
@@ -13,6 +14,7 @@ import pytest
 from plfkit.cli import main
 from plfkit.events import write_events
 from plfkit.fixedpoint import Dec
+from plfkit.scenarios import default_spec, spec_to_dict
 from streams import ACCT_A, ACCT_B, hand_fixture, make_event
 
 _HUGE = Dec("9" * 58)
@@ -142,6 +144,26 @@ def test_efficiency_valuation_failure(capsys, tmp_path, stream):
     code, out, err = _run(capsys, ["efficiency", "--events", str(path)])
     _assert_one_error_line(code, out, err)
     assert err == expected
+
+
+@pytest.mark.parametrize("field,value,expected", [
+    ("initial_exchange_rate", "0", "error: market DAI initial_exchange_rate 0: value must be positive\n"),
+    ("collateral_factor", "1.5", "error: market DAI collateral_factor 1.5: factor must lie in [0, 1]\n"),
+    ("close_factor", "2", "error: close_factor 2: factor must lie in [0, 1]\n"),
+])
+def test_out_of_range_spec_decimal(capsys, tmp_path, field, value, expected):
+    spec = spec_to_dict(default_spec(7, event_count=200))
+    if field == "close_factor":
+        spec[field] = value
+    else:
+        spec["markets"][0][field] = value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = _run(capsys, ["gen-scenario", "--spec", str(path), "--events-out", str(tmp_path / "s.jsonl"),
+                                   "--annotations-out", str(tmp_path / "s.json")])
+    _assert_one_error_line(code, out, err)
+    assert err == expected
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", sorted(_SNAPSHOT_COMMANDS))

@@ -101,6 +101,15 @@ class TestSpecValidation:
         ({"planned_liquidations": [PlannedLiquidation(PLANNED, 40, 42.0)]},
          "liquidation_block must be an integer"),
         ({"planned_concentration": ConcentrationPlan("sideways", (Dec("0.3"),))}, "side"),
+        ({"markets": [MarketSpec("DAI", Dec(0), Dec("0.75"), PricePath(Dec(1)))]},
+         r"market DAI initial_exchange_rate 0: value must be positive"),
+        ({"markets": [MarketSpec("DAI", Dec(-1), Dec("0.75"), PricePath(Dec(1)))]},
+         r"market DAI initial_exchange_rate -1: value must be positive"),
+        ({"markets": [MarketSpec("DAI", Dec("0.02"), Dec("1.5"), PricePath(Dec(1)))]},
+         r"market DAI collateral_factor 1.5: factor must lie in \[0, 1\]"),
+        ({"close_factor": Dec(2)}, r"close_factor 2: factor must lie in \[0, 1\]"),
+        ({"close_factor": Dec("-0.5")}, r"close_factor -0.5: factor must lie in \[0, 1\]"),
+        ({"liquidation_incentive": Dec(-2)}, "liquidation_incentive -2: amount must be non-negative"),
     ])
     def test_scalar_bounds(self, tmp_path, overrides, message):
         with pytest.raises(GenerationError, match=message):

@@ -150,7 +150,7 @@ def test_efficiency_valuation_failure(capsys, tmp_path, stream):
     ("initial_exchange_rate", "0", "error: market DAI initial_exchange_rate 0: value must be positive\n"),
     ("collateral_factor", "1.5", "error: market DAI collateral_factor 1.5: factor must lie in [0, 1]\n"),
     ("close_factor", "2", "error: close_factor 2: factor must lie in [0, 1]\n"),
-])
+], ids=["exchange-rate-0", "collateral-factor-1.5", "close-factor-2"])
 def test_out_of_range_spec_decimal(capsys, tmp_path, field, value, expected):
     spec = spec_to_dict(default_spec(7, event_count=200))
     if field == "close_factor":

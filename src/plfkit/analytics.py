@@ -2,12 +2,14 @@
 
 track_efficiency replays a stream while watching account health after
 every event, timing how long positions stay liquidable before someone
-liquidates them. Only accounts an event could have touched are
-re-evaluated, through risk.LiquidableCache: one re-priced term per changed
-(account, market), with each account's sums re-added in holdings order, so
-the sign and every failure are exactly those of a full valuation. Full
-re-evaluation values every account with account_health after every event,
-without the cache: it is the uncached cross-check (the oracle-test mode).
+liquidates them. Only the accounts the engine reports an event changed
+are re-evaluated: those whose positions it wrote, and the holders of the
+market it re-priced. They are valued through risk.LiquidableCache: one
+re-priced term per changed (account, market), with each account's sums
+re-added in holdings order, so the sign and every failure are exactly
+those of a full valuation. Full re-evaluation values every account with
+account_health after every event, without the cache: it is the uncached
+cross-check (the oracle-test mode).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .engine import apply_event
+from .engine import _apply, apply_event
 from .events import EventRecord, OrderingKey
 from .fixedpoint import ZERO, Dec
 from .model import GlobalState
@@ -74,16 +76,12 @@ def track_efficiency(
     """
     timeline = EfficiencyTimeline()
     open_streaks: dict[str, OrderingKey] = {}
-    members: dict[str, set[str]] = {}  # market symbol -> accounts ever positioned
     if full_reeval:
         def liquidable(account: str) -> bool:
             return account_health(state, account).liquidable
     else:
         liquidable = LiquidableCache(state).liquidable
 
-    for account, holdings in state.participants.items():
-        for symbol in holdings:
-            members.setdefault(symbol, set()).add(account)
     for account in state.participants:
         if liquidable(account):
             key = state.cursor if state.cursor is not None else OrderingKey(0, 0, 0)
@@ -91,7 +89,7 @@ def track_efficiency(
 
     for event in events:
         payload = event.payload
-        apply_event(state, event)
+        _, accounts, repriced = _apply(state, event)
 
         if event.kind == "LiquidateBorrow":
             borrower = payload["borrower"]
@@ -120,22 +118,10 @@ def track_efficiency(
 
         if full_reeval:
             dirty = set(state.participants)
-        elif event.kind in ("Mint", "Redeem", "Borrow", "RepayBorrow"):
-            dirty = {payload["account"]}
-        elif event.kind == "LiquidateBorrow":
-            dirty = {payload["borrower"], payload["liquidator"]}
-        elif event.kind in ("AccrueInterest", "NewCollateralFactor", "PriceUpdate"):
-            dirty = set(members.get(event.market or "", ()))
         else:
-            dirty = set()
-
-        if event.kind in ("Mint", "Redeem", "Borrow", "RepayBorrow"):
-            members.setdefault(event.market, set()).add(payload["account"])
-        elif event.kind == "LiquidateBorrow":
-            members.setdefault(event.market, set()).add(payload["borrower"])
-            members.setdefault(payload["collateral_market"], set()).update(
-                (payload["borrower"], payload["liquidator"])
-            )
+            dirty = set(accounts)
+            if repriced is not None:
+                dirty.update(name for name, holdings in state.participants.items() if repriced in holdings)
 
         for account in sorted(dirty):
             underwater = liquidable(account)

@@ -1,9 +1,15 @@
 """State transitions: folding normalized event streams into global state.
 
-apply_event validates every precondition before mutating, so a failed
+apply_event is validate-then-commit: each transition computes its new
+values in locals, running every check and every carrier-checked sum, and
+only then writes them with plain assignments that cannot fail. So a failed
 transition leaves the state untouched. Non-fatal oddities (mint/redeem
 amount drift, repay overshoot beyond dust, non-monotone indices in the
 input) surface as warning strings, never as silent repairs.
+
+This module is the one place that knows what an event writes: each
+transition reports the accounts whose positions it wrote and the market it
+re-priced, which analytics.track_efficiency reads to find dirty accounts.
 """
 
 from __future__ import annotations
@@ -81,19 +87,11 @@ def _check_amount_consistency(
         )
 
 
-def _accrue_position(position: Position, market: MarketState) -> None:
-    # Fold interest into principal and re-snapshot at the current index.
-    if not position.borrow_principal.is_zero():
-        position.borrow_principal = position.accrued_borrow(market.borrow_index)
-    position.borrow_index_snapshot = market.borrow_index
-
-
-def _count_borrowers(state: GlobalState, symbol: str) -> int:
-    return sum(
-        1
-        for holdings in state.participants.values()
-        if (pos := holdings.get(symbol)) is not None and not pos.borrow_principal.is_zero()
-    )
+def _opened(state: GlobalState, account: str, symbol: str, position: Position | None) -> Position:
+    """The position looked up before the commit, created if it was missing."""
+    if position is None:
+        position = state.participants.setdefault(account, {}).setdefault(symbol, Position())
+    return position
 
 
 def _repay(
@@ -102,38 +100,38 @@ def _repay(
     warnings: list[str],
     symbol: str,
     borrower: str,
+    position: Position | None,
     amount: Dec,
-) -> None:
-    """Shared RepayBorrow / LiquidateBorrow debt-reduction semantics."""
-    market = _market(state, event, symbol)
-    position = state.position(borrower, symbol, create=True)
-    assert position is not None
-    _accrue_position(position, market)
-
-    remainder = position.borrow_principal - amount
+) -> tuple[Dec, Dec]:
+    """Shared RepayBorrow / LiquidateBorrow debt reduction: the borrower's
+    new principal (at the market's index) and the market's new total
+    borrows. Writes nothing."""
+    market = state.markets[symbol]
+    accrued = position.accrued_borrow(market.borrow_index) if position is not None else ZERO
+    remainder = accrued - amount
     if remainder.is_negative():
         # Overshoot within one mantissa unit is routine truncation dust.
         if -remainder > Dec.from_mantissa(1):
-            _warn(
-                warnings,
-                event,
-                f"repay of {amount} exceeds accrued balance "
-                f"{position.borrow_principal}; clamped to zero",
-            )
+            _warn(warnings, event, f"repay of {amount} exceeds accrued balance {accrued}; clamped to zero")
         remainder = ZERO
-    position.borrow_principal = remainder
 
-    new_total = market.total_borrows - amount
-    if new_total.is_negative():
-        slack = Dec.from_mantissa(_count_borrowers(state, symbol))
-        if -new_total > slack:
+    total = market.total_borrows - amount
+    if total.is_negative():
+        # One mantissa unit per borrower left once this repay lands: the
+        # others, and this one if any debt remains.
+        borrowers = bool(remainder) + sum(
+            1
+            for account, holdings in state.participants.items()
+            if account != borrower and (pos := holdings.get(symbol)) is not None and pos.borrow_principal
+        )
+        if -total > Dec.from_mantissa(borrowers):
             raise TransitionError(
                 event.key,
                 f"market {symbol!r} total borrows would go negative beyond "
-                f"per-borrower slack ({new_total})",
+                f"per-borrower slack ({total})",
             )
-        new_total = ZERO
-    market.total_borrows = new_total
+        total = ZERO
+    return remainder, total
 
 
 def apply_event(state: GlobalState, event: EventRecord) -> list[str]:
@@ -141,8 +139,17 @@ def apply_event(state: GlobalState, event: EventRecord) -> list[str]:
 
     Raises TransitionError on ordering violations, unknown markets,
     overdraws, aggregate underflow beyond truncation slack, or a sum that
-    leaves the mantissa carrier.
+    leaves the mantissa carrier. A failed event leaves the state untouched.
     """
+    return _apply(state, event)[0]
+
+
+def _apply(
+    state: GlobalState, event: EventRecord
+) -> tuple[list[str], tuple[str, ...], str | None]:
+    """apply_event, also reporting what the event wrote: its warnings, the
+    accounts whose positions it wrote, and the market whose exchange rate,
+    borrow index, collateral factor or price it set (None if none)."""
     if state.cursor is not None and event.key <= state.cursor:
         raise TransitionError(
             event.key, f"does not follow cursor {state.cursor}; stream must be strictly increasing"
@@ -150,146 +157,149 @@ def apply_event(state: GlobalState, event: EventRecord) -> list[str]:
 
     warnings: list[str] = []
     try:
-        _transition(state, event, warnings)
+        accounts, repriced = _transition(state, event, warnings)
     except DecOverflowError as exc:
         raise TransitionError(event.key, str(exc)) from exc
     state.cursor = event.key
-    return warnings
+    return warnings, accounts, repriced
 
 
-def _transition(state: GlobalState, event: EventRecord, warnings: list[str]) -> None:
-    """The body of apply_event: one event's effect, cursor aside."""
+def _transition(
+    state: GlobalState, event: EventRecord, warnings: list[str]
+) -> tuple[tuple[str, ...], str | None]:
+    """One event's effect, cursor aside, as (accounts, repriced) of _apply:
+    each branch checks and computes into locals, then assigns."""
     kind = event.kind
     payload = event.payload
+    symbol = event.market
 
     if kind == "MarketListed":
-        symbol = event.market
-        assert symbol is not None
         if symbol in state.markets:
             raise TransitionError(event.key, f"market {symbol!r} already listed")
         state.markets[symbol] = MarketState.listed(
-            symbol,
-            payload["initial_exchange_rate"],
-            payload["initial_collateral_factor"],
+            symbol, payload["initial_exchange_rate"], payload["initial_collateral_factor"]
         )
+        return (), None
 
-    elif kind == "Mint":
-        market = _market(state, event, event.market)
+    if kind == "PriceUpdate":
+        # Prices may arrive before the market is listed; the table is
+        # keyed by asset, not by market.
+        state.price_table.set(symbol, payload["price_usd"])
+        return (), symbol
+
+    if kind == "NewCloseFactor":
+        state.params.close_factor = payload["new_close_factor"]
+        return (), None
+
+    market = _market(state, event, symbol)
+
+    if kind in ("Mint", "Redeem"):
+        account = payload["account"]
         ctokens = payload["amount_ctokens"]
         _check_amount_consistency(
-            warnings, event, "mint", payload["amount_underlying"], ctokens, market.exchange_rate
+            warnings, event, kind.lower(), payload["amount_underlying"], ctokens, market.exchange_rate
         )
-        position = state.position(payload["account"], event.market, create=True)
-        assert position is not None
-        position.ctoken_balance = position.ctoken_balance + ctokens
-        market.total_ctoken_supply = market.total_ctoken_supply + ctokens
-
-    elif kind == "Redeem":
-        market = _market(state, event, event.market)
-        ctokens = payload["amount_ctokens"]
-        _check_amount_consistency(
-            warnings, event, "redeem", payload["amount_underlying"], ctokens, market.exchange_rate
-        )
-        position = state.position(payload["account"], event.market)
+        position = state.position(account, symbol)
         held = position.ctoken_balance if position is not None else ZERO
-        if ctokens > held:
-            raise TransitionError(
-                event.key,
-                f"redeem of {ctokens} ctokens exceeds balance {held} "
-                f"for {payload['account']}",
-            )
-        # No position means a redeem of zero: nothing moves.
-        if position is not None:
-            position.ctoken_balance = position.ctoken_balance - ctokens
-            market.total_ctoken_supply = market.total_ctoken_supply - ctokens
-            if market.total_ctoken_supply.is_negative():
+        if kind == "Mint":
+            balance = held + ctokens
+            supply = market.total_ctoken_supply + ctokens
+        else:
+            if ctokens > held:
                 raise TransitionError(
-                    event.key, f"market {event.market!r} ctoken supply would go negative"
+                    event.key, f"redeem of {ctokens} ctokens exceeds balance {held} for {account}"
                 )
+            if position is None:  # a redeem of zero: nothing moves
+                return (), None
+            balance = held - ctokens
+            supply = market.total_ctoken_supply - ctokens
+            if supply.is_negative():
+                raise TransitionError(event.key, f"market {symbol!r} ctoken supply would go negative")
+        _opened(state, account, symbol, position).ctoken_balance = balance
+        market.total_ctoken_supply = supply
+        return (account,), None
 
-    elif kind == "Borrow":
-        market = _market(state, event, event.market)
+    if kind in ("Borrow", "RepayBorrow"):
+        account = payload["account"]
         amount = payload["amount_underlying"]
-        position = state.position(payload["account"], event.market, create=True)
-        assert position is not None
-        _accrue_position(position, market)
-        position.borrow_principal = position.borrow_principal + amount
-        market.total_borrows = market.total_borrows + amount
+        position = state.position(account, symbol)
+        if kind == "Borrow":
+            # Interest folds into principal before the new debt lands.
+            accrued = position.accrued_borrow(market.borrow_index) if position is not None else ZERO
+            principal = accrued + amount
+            total = market.total_borrows + amount
+        else:
+            principal, total = _repay(state, event, warnings, symbol, account, position, amount)
+        position = _opened(state, account, symbol, position)
+        position.borrow_principal = principal
+        position.borrow_index_snapshot = market.borrow_index
+        market.total_borrows = total
+        return (account,), None
 
-    elif kind == "RepayBorrow":
-        _repay(state, event, warnings, event.market, payload["account"], payload["amount_underlying"])
-
-    elif kind == "LiquidateBorrow":
-        repay_symbol = event.market
-        assert repay_symbol is not None
-        collateral_symbol = payload["collateral_market"]
+    if kind == "LiquidateBorrow":
+        # The liquidator may be the borrower, and the collateral market
+        # may be the repay market: every position is read before any write.
         borrower = payload["borrower"]
         liquidator = payload["liquidator"]
         seized = payload["seized_ctokens"]
-
-        _market(state, event, repay_symbol)
+        collateral_symbol = payload["collateral_market"]
         _market(state, event, collateral_symbol)
-        borrower_coll = state.position(borrower, collateral_symbol)
-        held = borrower_coll.ctoken_balance if borrower_coll is not None else ZERO
+        collateral = state.position(borrower, collateral_symbol)
+        held = collateral.ctoken_balance if collateral is not None else ZERO
         if seized > held:
             raise TransitionError(
                 event.key,
                 f"seizure of {seized} ctokens exceeds borrower collateral {held} "
                 f"in {collateral_symbol!r}",
             )
+        debt = state.position(borrower, symbol)
+        principal, total = _repay(
+            state, event, warnings, symbol, borrower, debt, payload["repay_amount_underlying"]
+        )
+        remaining = held - seized
+        if liquidator == borrower:
+            receiver, credited = collateral, held  # the seized cTokens come straight back
+        else:
+            receiver = state.position(liquidator, collateral_symbol)
+            credited = (receiver.ctoken_balance if receiver is not None else ZERO) + seized
+        # The debt position is created before the liquidator's collateral
+        # position. Total supply is unchanged: the seizure is a transfer.
+        debt = _opened(state, borrower, symbol, debt)
+        debt.borrow_principal = principal
+        debt.borrow_index_snapshot = market.borrow_index
+        market.total_borrows = total
+        if collateral is not None:  # else the seizure is zero
+            collateral.ctoken_balance = remaining
+        _opened(state, liquidator, collateral_symbol, receiver).ctoken_balance = credited
+        return (borrower, liquidator), None
 
-        _repay(state, event, warnings, repay_symbol, borrower, payload["repay_amount_underlying"])
-        if borrower_coll is not None:  # else the seizure is zero
-            borrower_coll.ctoken_balance = borrower_coll.ctoken_balance - seized
-        liquidator_coll = state.position(liquidator, collateral_symbol, create=True)
-        assert liquidator_coll is not None
-        liquidator_coll.ctoken_balance = liquidator_coll.ctoken_balance + seized
-        # Total supply unchanged: the seizure is a transfer.
-
-    elif kind == "AccrueInterest":
-        market = _market(state, event, event.market)
+    if kind == "AccrueInterest":
         new_index = payload["new_borrow_index"]
         new_rate = payload["new_exchange_rate"]
         if new_index < market.borrow_index:
-            _warn(
-                warnings,
-                event,
-                f"borrow index decreased from {market.borrow_index} to {new_index}",
-            )
+            _warn(warnings, event, f"borrow index decreased from {market.borrow_index} to {new_index}")
         if new_rate < market.exchange_rate:
-            _warn(
-                warnings,
-                event,
-                f"exchange rate decreased from {market.exchange_rate} to {new_rate}",
-            )
+            _warn(warnings, event, f"exchange rate decreased from {market.exchange_rate} to {new_rate}")
+        total = market.total_borrows + payload["interest_accumulated_underlying"]
         market.borrow_index = new_index
         market.exchange_rate = new_rate
-        market.total_borrows = market.total_borrows + payload["interest_accumulated_underlying"]
+        market.total_borrows = total
+        return (), symbol
 
-    elif kind == "NewCollateralFactor":
-        market = _market(state, event, event.market)
+    if kind == "NewCollateralFactor":
         market.collateral_factor = payload["new_factor"]
+        return (), symbol
 
-    elif kind == "NewInterestRateModel":
-        market = _market(state, event, event.market)
+    if kind == "NewInterestRateModel":
         market.interest_model.model_id = payload["model_id"]
         market.interest_model.params = {}
+        return (), None
 
-    elif kind == "NewInterestParams":
-        market = _market(state, event, event.market)
+    if kind == "NewInterestParams":
         market.interest_model.params = dict(payload["params_blob"])
+        return (), None
 
-    elif kind == "NewCloseFactor":
-        state.params.close_factor = payload["new_close_factor"]
-
-    elif kind == "PriceUpdate":
-        # Prices may arrive before the market is listed; the table is
-        # keyed by asset, not by market.
-        assert event.market is not None
-        state.price_table.set(event.market, payload["price_usd"])
-
-    else:  # pragma: no cover - parse layer rejects unknown kinds
-        raise TransitionError(event.key, f"unhandled event kind {kind!r}")
+    raise TransitionError(event.key, f"unhandled event kind {kind!r}")  # pragma: no cover
 
 
 def replay(

@@ -83,6 +83,18 @@ class TestTrackEfficiency:
         assert timeline.streaks == []
         assert timeline.liquidations == []
 
+    def test_liquidator_recovers_through_seized_collateral(self):
+        # A, underwater since block 10, liquidates B and receives enough
+        # cETH to recover (power 189.375 + 18.18 against 200 of debt).
+        events = hand_fixture()[:16]
+        events.append(make_event(11, 0, 0, "LiquidateBorrow", "DAI",
+                                 borrower=ACCT_B, liquidator=ACCT_A,
+                                 repay_amount_underlying=Dec(10),
+                                 collateral_market="ETH", seized_ctokens=Dec(10)))
+        timeline = track_efficiency(GlobalState.fresh(), events)
+        assert timeline.streaks == []
+        assert [record.account for record in timeline.liquidations] == [ACCT_B]
+
     def test_open_streak_reported_at_end(self):
         timeline = track_efficiency(GlobalState.fresh(), hand_fixture()[:16])
         assert timeline.streaks == [

@@ -1,8 +1,12 @@
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plfkit
 from plfkit.engine import (
@@ -12,10 +16,12 @@ from plfkit.engine import (
     replay,
     state_digest,
 )
-from plfkit.events import OrderingKey
-from plfkit.fixedpoint import ONE, ZERO, Dec
-from plfkit.model import GlobalState, validate_state
-from streams import ACCT_A, ACCT_B, HAND_FINAL, hand_fixture, make_event
+from plfkit.events import EventRecord, OrderingKey
+from plfkit.fixedpoint import MANTISSA_BOUND, ONE, ZERO, Dec
+from plfkit.model import GlobalState, Position, validate_state
+from streams import ACCT_A, ACCT_B, ACCT_C, HAND_FINAL, hand_fixture, make_event
+
+HUGE = Dec("9" * 58)  # six of these overflow the carrier, five do not
 
 
 def replayed() -> GlobalState:
@@ -301,18 +307,108 @@ class TestTransitions:
 
     def test_sum_beyond_carrier_names_the_event_without_mutation(self):
         state = listed_state()
-        huge = Dec("9" * 58)
         for block in range(20, 25):
             apply_event(state, make_event(block, 0, 0, "Mint", "DAI", account=ACCT_A,
-                                          amount_underlying=huge, amount_ctokens=huge))
+                                          amount_underlying=HUGE, amount_ctokens=HUGE))
         before = state_digest(state)
         sixth = make_event(25, 0, 0, "Mint", "DAI", account=ACCT_A,
-                           amount_underlying=huge, amount_ctokens=huge)
+                           amount_underlying=HUGE, amount_ctokens=HUGE)
         with pytest.raises(TransitionError) as excinfo:
             apply_event(state, sixth)
         assert str(excinfo.value) == "event 25:0:0: mantissa exceeds the signed 256-bit carrier"
         assert excinfo.value.key == sixth.key
         assert state_digest(state) == before
+
+    @pytest.mark.parametrize("setup,failing,message", [
+        # The index moved but the total did not, so repaying the accrued
+        # 110 against a total of 100 is beyond slack; the position must not
+        # be zeroed on the way to that check.
+        ([make_event(20, 0, 0, "Borrow", "DAI", account=ACCT_A, amount_underlying=Dec(100)),
+          make_event(21, 0, 0, "AccrueInterest", "DAI", new_borrow_index=Dec("1.1"),
+                     new_exchange_rate=Dec("0.02"), interest_accumulated_underlying=ZERO)],
+         make_event(22, 0, 0, "RepayBorrow", "DAI", account=ACCT_A, payer=ACCT_A,
+                    amount_underlying=Dec(110)),
+         "negative beyond"),
+        # The supply overflows after B's new position would hold the cTokens.
+        ([make_event(block, 0, 0, "Mint", "DAI", account=ACCT_A,
+                     amount_underlying=HUGE, amount_ctokens=HUGE) for block in range(20, 25)],
+         make_event(25, 0, 0, "Mint", "DAI", account=ACCT_B,
+                    amount_underlying=HUGE, amount_ctokens=HUGE),
+         "carrier"),
+        # Total borrows overflow after the index and rate would have moved.
+        ([make_event(block, 0, 0, "AccrueInterest", "DAI", new_borrow_index=ONE,
+                     new_exchange_rate=Dec("0.02"), interest_accumulated_underlying=HUGE)
+          for block in range(20, 25)],
+         make_event(25, 0, 0, "AccrueInterest", "DAI", new_borrow_index=Dec(2),
+                    new_exchange_rate=Dec("0.03"), interest_accumulated_underlying=HUGE),
+         "carrier"),
+    ], ids=["repay-after-accrual", "mint-overflow-new-account", "accrual-overflow"])
+    def test_failed_transition_leaves_state_untouched(self, setup, failing, message):
+        state = listed_state()
+        replay(state, setup)
+        before, cursor = state_digest(state), state.cursor
+        with pytest.raises(TransitionError, match=message):
+            apply_event(state, failing)
+        assert state_digest(state) == before
+        assert state.cursor == cursor
+
+    @pytest.mark.parametrize("liquidator,collateral", [
+        (ACCT_A, "ETH"), (ACCT_B, "DAI"), (ACCT_A, "DAI"),
+    ], ids=["self", "same-market", "self-same-market"])
+    def test_liquidation_with_shared_positions(self, liquidator, collateral):
+        # At block 11, A owes 200 DAI at snapshot 1.1 and holds 500 cDAI
+        # and 100 cETH; B holds 900 cETH and no cDAI.
+        state = GlobalState.fresh()
+        replay(state, hand_fixture()[:17])
+        held = {account: state.position(account, collateral) for account in (ACCT_A, ACCT_B)}
+        held = {account: p.ctoken_balance if p else ZERO for account, p in held.items()}
+        supply = state.markets[collateral].total_ctoken_supply
+        apply_event(state, make_event(12, 0, 0, "LiquidateBorrow", "DAI",
+                                      borrower=ACCT_A, liquidator=liquidator,
+                                      repay_amount_underlying=Dec(100),
+                                      collateral_market=collateral, seized_ctokens=Dec(30)))
+        seized_from_a = ZERO if liquidator == ACCT_A else Dec(30)
+        assert state.position(ACCT_A, collateral).ctoken_balance == held[ACCT_A] - seized_from_a
+        assert state.position(liquidator, collateral).ctoken_balance == held[liquidator] + seized_from_a
+        assert state.position(ACCT_A, "DAI").borrow_principal == Dec(100)
+        assert state.markets[collateral].total_ctoken_supply == supply
+        assert validate_state(state) == []
+
+    @pytest.mark.parametrize("overshoot,applies", [(1, True), (2, False)])
+    def test_repay_slack_counts_borrowers_after_the_repay(self, overshoot, applies):
+        # A and B each owe 100 DAI. A repays 200 plus a few mantissa units:
+        # the total would end that many units below zero, and the slack is
+        # one unit per borrower left once A's debt is cleared, so one.
+        state = listed_state()
+        for tx, account in enumerate((ACCT_A, ACCT_B)):
+            apply_event(state, make_event(20, tx, 0, "Borrow", "DAI",
+                                          account=account, amount_underlying=Dec(100)))
+        repay = make_event(21, 0, 0, "RepayBorrow", "DAI", account=ACCT_A, payer=ACCT_A,
+                           amount_underlying=Dec(200) + Dec.from_mantissa(overshoot))
+        if applies:
+            warnings = apply_event(state, repay)
+            assert len(warnings) == 1 and "clamped to zero" in warnings[0]
+            assert state.markets["DAI"].total_borrows == ZERO
+            assert state.position(ACCT_A, "DAI").borrow_principal == ZERO
+        else:
+            with pytest.raises(TransitionError, match="negative beyond"):
+                apply_event(state, repay)
+
+    def test_liquidation_creates_debt_position_before_collateral_position(self):
+        # Holdings order is the order of the valuation sums, so the order
+        # in which positions are created is part of the state.
+        state = listed_state()
+        borrower, liquidator, both = ("0x" + digits * 20 for digits in ("71", "72", "73"))
+        zero_liquidation = dict(repay_amount_underlying=ZERO, collateral_market="ETH",
+                                seized_ctokens=ZERO)
+        apply_event(state, make_event(20, 0, 0, "LiquidateBorrow", "DAI", borrower=borrower,
+                                      liquidator=liquidator, **zero_liquidation))
+        apply_event(state, make_event(21, 0, 0, "LiquidateBorrow", "DAI", borrower=both,
+                                      liquidator=both, **zero_liquidation))
+        assert list(state.participants)[-3:] == [borrower, liquidator, both]
+        assert list(state.participants[borrower]) == ["DAI"]
+        assert list(state.participants[both]) == ["DAI", "ETH"]
+        assert validate_state(state) == []
 
 
 class TestReplay:
@@ -365,3 +461,148 @@ class TestDigest:
     def test_deterministic_across_replays(self):
         assert (replay(GlobalState.fresh(), hand_fixture())[1].digest
                 == replay(GlobalState.fresh(), hand_fixture())[1].digest)
+
+
+def test_no_assert_in_package_source():
+    """Asserts vanish under -O, so none may carry control flow."""
+    for path in sorted(Path(plfkit.__file__).parent.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert lines == [], f"{path.name} asserts at lines {lines}"
+
+
+# -- Random streams with injected bad events ------------------------------------
+
+MARKETS = ("DAI", "ETH", "WBTC")
+ACCOUNTS = (ACCT_A, ACCT_B, ACCT_C, "0x" + "dd" * 20)
+UNIT = 10 ** 18
+MAX_DEC = Dec.from_mantissa(MANTISSA_BOUND - 1)
+BAD_EVENTS = ("overdraw", "over-seizure", "unknown-market", "overflow", "beyond-slack")
+
+
+def opening(market_count: int) -> list[EventRecord]:
+    events = []
+    for tx, symbol in enumerate(MARKETS[:market_count]):
+        events += [
+            make_event(1, tx, 0, "MarketListed", symbol, initial_exchange_rate=Dec("0.02"),
+                       initial_collateral_factor=Dec("0.75")),
+            make_event(1, tx, 1, "PriceUpdate", symbol, price_usd=Dec(tx + 1)),
+        ]
+    return events
+
+
+def upto(data, mantissa: int) -> Dec:
+    return Dec.from_mantissa(data.draw(st.integers(0, mantissa)))
+
+
+def good_event(data, state: GlobalState, block: int) -> EventRecord:
+    """An event drawn against ``state``'s balances, which applies."""
+    kind = data.draw(st.sampled_from((
+        "Mint", "Redeem", "Borrow", "RepayBorrow", "LiquidateBorrow",
+        "AccrueInterest", "NewCollateralFactor", "PriceUpdate",
+    )))
+    symbol = data.draw(st.sampled_from(sorted(state.markets)))
+    account = data.draw(st.sampled_from(ACCOUNTS))
+    market = state.markets[symbol]
+    position = state.position(account, symbol) or Position()
+    accrued = position.accrued_borrow(market.borrow_index)
+    if kind in ("Mint", "Redeem"):
+        ctokens = upto(data, 1000 * UNIT if kind == "Mint" else position.ctoken_balance.mantissa)
+        payload = dict(account=account, amount_underlying=ctokens * market.exchange_rate,
+                       amount_ctokens=ctokens)
+    elif kind == "Borrow":
+        payload = dict(account=account, amount_underlying=upto(data, 100 * UNIT))
+    elif kind == "RepayBorrow":
+        payload = dict(account=account, payer=account,
+                       amount_underlying=upto(data, accrued.mantissa))
+    elif kind == "LiquidateBorrow":
+        collateral = data.draw(st.sampled_from(sorted(state.markets)))
+        held = (state.position(account, collateral) or Position()).ctoken_balance
+        payload = dict(borrower=account, liquidator=data.draw(st.sampled_from(ACCOUNTS)),
+                       repay_amount_underlying=upto(data, accrued.mantissa),
+                       collateral_market=collateral, seized_ctokens=upto(data, held.mantissa))
+    elif kind == "AccrueInterest":
+        new_index = market.borrow_index * (ONE + upto(data, UNIT // 20))
+        interest = ZERO
+        for holdings in state.participants.values():
+            if (held := holdings.get(symbol)) is not None:
+                interest = interest + held.accrued_borrow(new_index) - held.accrued_borrow(market.borrow_index)
+        payload = dict(new_borrow_index=new_index,
+                       new_exchange_rate=market.exchange_rate * (ONE + upto(data, UNIT // 100)),
+                       interest_accumulated_underlying=interest)
+    elif kind == "NewCollateralFactor":
+        payload = dict(new_factor=upto(data, UNIT))
+    else:
+        payload = dict(price_usd=Dec.from_mantissa(data.draw(st.integers(UNIT // 2, 2 * UNIT))))
+    return make_event(block, 0, 0, kind, symbol, **payload)
+
+
+def bad_event(data, state: GlobalState, block: int) -> EventRecord | None:
+    """An event that must fail against ``state``, or None where the drawn
+    failure cannot be reached from it (an overflow of an empty market)."""
+    what = data.draw(st.sampled_from(BAD_EVENTS))
+    symbol = data.draw(st.sampled_from(sorted(state.markets)))
+    account = data.draw(st.sampled_from(ACCOUNTS))
+    market = state.markets[symbol]
+    position = state.position(account, symbol) or Position()
+    beyond = Dec.from_mantissa(data.draw(st.integers(1, UNIT)))
+    if what == "overdraw":
+        ctokens = position.ctoken_balance + beyond
+        return make_event(block, 0, 0, "Redeem", symbol, account=account,
+                          amount_underlying=ctokens * market.exchange_rate, amount_ctokens=ctokens)
+    if what == "over-seizure":
+        collateral = data.draw(st.sampled_from(sorted(state.markets)))
+        held = (state.position(account, collateral) or Position()).ctoken_balance
+        return make_event(block, 0, 0, "LiquidateBorrow", symbol, borrower=account,
+                          liquidator=data.draw(st.sampled_from(ACCOUNTS)),
+                          repay_amount_underlying=upto(data, position.accrued_borrow(market.borrow_index).mantissa),
+                          collateral_market=collateral, seized_ctokens=held + beyond)
+    if what == "unknown-market":
+        event = good_event(data, state, block)
+        if event.kind == "LiquidateBorrow" and data.draw(st.booleans()):
+            return make_event(block, 0, 0, event.kind, event.market,
+                              **{**event.payload, "collateral_market": "ZZZ"})
+        if event.kind == "PriceUpdate":  # a price may precede its listing
+            return make_event(block, 0, 0, "NewCollateralFactor", "ZZZ", new_factor=ONE)
+        return make_event(block, 0, 0, event.kind, "ZZZ", **event.payload)
+    if what == "overflow":
+        # The largest amount on a non-empty aggregate; the account may be
+        # new, so the failure must not leave a fresh position behind.
+        if not market.total_ctoken_supply.is_zero() and data.draw(st.booleans()):
+            return make_event(block, 0, 0, "Mint", symbol, account=account,
+                              amount_underlying=MAX_DEC * market.exchange_rate, amount_ctokens=MAX_DEC)
+        if not market.total_borrows.is_zero():
+            return make_event(block, 0, 0, "AccrueInterest", symbol,
+                              new_borrow_index=market.borrow_index + ONE,
+                              new_exchange_rate=market.exchange_rate + ONE,
+                              interest_accumulated_underlying=MAX_DEC)
+        return None
+    # Beyond slack: the total would end one unit further below zero than
+    # there are borrowers, whoever repays.
+    borrowers = sum(
+        1 for holdings in state.participants.values()
+        if (held := holdings.get(symbol)) is not None and not held.borrow_principal.is_zero()
+    )
+    return make_event(block, 0, 0, "RepayBorrow", symbol, account=account, payer=account,
+                      amount_underlying=market.total_borrows + Dec.from_mantissa(borrowers + 1))
+
+
+class TestFailedEventChangesNothing:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(2, 3), st.data())
+    def test_random_streams_with_bad_events(self, market_count, data):
+        state, _ = replay(GlobalState.fresh(), opening(market_count))
+        for block in range(2, 2 + data.draw(st.integers(1, 40))):
+            event = bad_event(data, state, block) if data.draw(st.integers(0, 3)) == 0 else None
+            injected = event is not None
+            if event is None:
+                event = good_event(data, state, block)
+            before, cursor = state_digest(state), state.cursor
+            try:
+                apply_event(state, event)
+            except TransitionError:
+                assert state_digest(state) == before
+                assert state.cursor == cursor
+            else:
+                assert not injected, f"{event.kind} {event.payload} applied"
+                assert validate_state(state) == []

@@ -63,6 +63,14 @@ def trunc_div(a: int, b: int) -> int:
     return checked(_trunc_div(a * SCALE, b))
 
 
+def trunc_muldiv(a: int, b: int, c: int) -> int:
+    """a * b / c on mantissas with a single truncation toward zero, checked
+    against the carrier: the mantissa of dec_muldiv."""
+    if c == 0:
+        raise ZeroDivisionError("fixed-point division by zero")
+    return checked(_trunc_div(a * b, c))
+
+
 def _parse_mantissa(text: str) -> int:
     """Mantissa of a decimal literal, checked against the carrier."""
     if _DECIMAL.fullmatch(text) is None:
@@ -248,6 +256,4 @@ def dec_muldiv(a: Dec, b: Dec, c: Dec) -> Dec:
     exact rational a*b/c truncated once toward zero. In particular
     dec_muldiv(x, y, y) == x, which (a * y) / y does not guarantee.
     """
-    if c.mantissa == 0:
-        raise ZeroDivisionError("fixed-point division by zero")
-    return Dec.from_mantissa(checked(_trunc_div(a.mantissa * b.mantissa, c.mantissa)))
+    return Dec.from_mantissa(trunc_muldiv(a.mantissa, b.mantissa, c.mantissa))

@@ -5,7 +5,9 @@ windows, liquidations, concentration shapes) are known by construction,
 then writes the stream plus an annotation file recording what a correct
 engine must find at chosen checkpoints. Bookkeeping here is deliberately
 naive and self-contained: it never calls the incremental engine, so the
-two routes to the same numbers check each other.
+two routes to the same numbers check each other. What it shares with the
+engine is ``fixedpoint``'s mantissa arithmetic (``checked``, ``trunc_mul``,
+``trunc_muldiv``); the oracle values accounts on plain int mantissas.
 
 Randomness comes exclusively from ``random.Random`` seeded with the spec's
 seed: Mersenne Twister (MT19937), whose integer draws are stable across
@@ -28,7 +30,7 @@ from .events import (
     is_valid_address,
     write_events,
 )
-from .fixedpoint import ONE, ZERO, Dec, dec_muldiv
+from .fixedpoint import ONE, ZERO, Dec, checked, dec_muldiv, trunc_mul, trunc_muldiv
 from .model import encode_canonical
 
 ANNOTATION_FORMAT_VERSION = 1
@@ -211,9 +213,10 @@ class _MiniPos:
 class _NaiveState:
     """From-first-principles replica of the transition semantics.
 
-    Self-contained on purpose: shares only the Dec arithmetic with the
-    engine, so generated annotations are an independent route to every
-    number the engine must reproduce.
+    Self-contained on purpose: shares only ``fixedpoint``'s mantissa
+    arithmetic (``checked``, ``trunc_mul``, ``trunc_muldiv``) with the
+    engine and values accounts on ints, so generated annotations are an
+    independent route to every number the engine must reproduce.
     """
 
     def __init__(self) -> None:
@@ -229,9 +232,8 @@ class _NaiveState:
         if pos is None:
             pos = _MiniPos()
             holdings[symbol] = pos
-            roster = self.members.setdefault(symbol, [])
-            if account not in roster:
-                roster.append(account)
+            # Positions are never deleted, so a new one is a new holder.
+            self.members.setdefault(symbol, []).append(account)
         return pos
 
     @staticmethod
@@ -304,41 +306,65 @@ class _NaiveState:
         factor_override: dict[str, Dec] | None = None,
     ) -> tuple[Dec, Dec, Dec]:
         """(collateral power, borrow value, collateral value) in USD."""
-        power = ZERO
-        borrow_value = ZERO
-        collateral_value = ZERO
+        power, borrow_value, collateral_value = self._sums(
+            account, price_override, index_override, factor_override
+        )
+        return (
+            Dec.from_mantissa(power),
+            Dec.from_mantissa(borrow_value),
+            Dec.from_mantissa(collateral_value),
+        )
+
+    def _sums(
+        self,
+        account: str,
+        price_override: dict[str, Dec] | None = None,
+        index_override: dict[str, Dec] | None = None,
+        factor_override: dict[str, Dec] | None = None,
+    ) -> tuple[int, int, int]:
+        """``health()``'s three sums as mantissas, in Dec's truncation order
+        ``((ctokens*rate)*factor)*price`` and ``accrued*price``, with the
+        carrier check at every product and partial sum."""
+        power = 0
+        borrow_value = 0
+        collateral_value = 0
         for symbol, pos in self.positions.get(account, {}).items():
-            if pos.ctokens.is_zero() and pos.principal.is_zero():
+            ctokens = pos.ctokens.mantissa
+            principal = pos.principal.mantissa
+            if not ctokens and not principal:
                 continue
             market = self.markets[symbol]
             price = self.prices[symbol]
             if price_override and symbol in price_override:
                 price = price_override[symbol]
-            factor = market.factor
-            if factor_override and symbol in factor_override:
-                factor = factor_override[symbol]
-            index = market.index
-            if index_override and symbol in index_override:
-                index = index_override[symbol]
-            if not pos.ctokens.is_zero():
-                base = pos.ctokens * market.rate
-                collateral_value = collateral_value + base * price
-                power = power + (base * factor) * price
-            if not pos.principal.is_zero():
-                borrow_value = borrow_value + self._accrued(pos, index) * price
+            price = price.mantissa
+            if ctokens:
+                factor = market.factor
+                if factor_override and symbol in factor_override:
+                    factor = factor_override[symbol]
+                base = trunc_mul(ctokens, market.rate.mantissa)
+                collateral_value = checked(collateral_value + trunc_mul(base, price))
+                power = checked(power + trunc_mul(trunc_mul(base, factor.mantissa), price))
+            if principal:
+                index = market.index
+                if index_override and symbol in index_override:
+                    index = index_override[symbol]
+                accrued = trunc_muldiv(principal, index.mantissa, pos.snapshot.mantissa)
+                borrow_value = checked(borrow_value + trunc_mul(accrued, price))
         return power, borrow_value, collateral_value
 
     def is_liquidable(self, account: str) -> bool:
-        power, borrow_value, _ = self.health(account)
+        power, borrow_value, _ = self._sums(account)
         return power < borrow_value
 
     def drift_safe(self, symbol: str, **override: dict[str, Dec]) -> bool:
         """Whether every holder in ``symbol`` that borrows keeps power >=
         _DRIFT_MARGIN times its borrow value under one of ``health()``'s
         overrides."""
+        margin = _DRIFT_MARGIN.mantissa
         for account in self.members.get(symbol, ()):
-            power, borrow_value, _ = self.health(account, **override)
-            if not borrow_value.is_zero() and power < borrow_value * _DRIFT_MARGIN:
+            power, borrow_value, _ = self._sums(account, **override)
+            if borrow_value and power < trunc_mul(borrow_value, margin):
                 return False
         return True
 

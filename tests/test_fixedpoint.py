@@ -1,8 +1,9 @@
 import math
 from fractions import Fraction
+from itertools import product
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plfkit.fixedpoint import (
@@ -14,6 +15,7 @@ from plfkit.fixedpoint import (
     DecOverflowError,
     DecParseError,
     dec_muldiv,
+    trunc_muldiv,
 )
 
 # Small enough that products of two operands stay inside the carrier.
@@ -218,6 +220,51 @@ class TestMulDiv:
     def test_operators_multiply_and_divide(self):
         assert Dec(2) * Dec(3) == Dec(6)
         assert Dec(6) / Dec(3) == Dec(2)
+
+
+# Magnitudes anywhere inside the carrier, so that a * b / c lands on both
+# sides of the bound.
+magnitudes = st.integers(min_value=0, max_value=MANTISSA_BOUND - 1)
+signs = st.sampled_from(list(product((1, -1), repeat=3)))
+
+
+class TestTruncMulDiv:
+    @settings(max_examples=300, deadline=None)
+    @given(magnitudes, magnitudes, magnitudes.filter(lambda m: m != 0), signs)
+    def test_matches_truncated_fraction(self, a, b, c, sign):
+        a, b, c = a * sign[0], b * sign[1], c * sign[2]
+        expected = math.trunc(Fraction(a * b, c))  # toward zero, not floor
+        if abs(expected) < MANTISSA_BOUND:
+            assert trunc_muldiv(a, b, c) == expected
+        else:
+            with pytest.raises(DecOverflowError):
+                trunc_muldiv(a, b, c)
+
+    @given(st.integers(), st.integers())
+    def test_zero_divisor(self, a, b):
+        with pytest.raises(ZeroDivisionError):
+            trunc_muldiv(a, b, 0)
+
+    @pytest.mark.parametrize("a,b,c,expected", [
+        (7, 1, 2, 3), (-7, 1, 2, -3), (7, -1, 2, -3), (7, 1, -2, -3),
+        (-7, -1, 2, 3), (-7, 1, -2, 3), (7, -1, -2, 3), (-7, -1, -2, -3),
+    ])
+    def test_every_sign_mix_truncates_toward_zero(self, a, b, c, expected):
+        assert trunc_muldiv(a, b, c) == expected
+
+    def test_carrier(self):
+        top = MANTISSA_BOUND - 1
+        # The product may exceed the carrier; only the quotient must fit.
+        assert trunc_muldiv(top, 3, 3) == top
+        assert trunc_muldiv(-top, 3, 3) == -top
+        with pytest.raises(DecOverflowError):
+            trunc_muldiv(top, 3, 2)
+        with pytest.raises(DecOverflowError):
+            trunc_muldiv(top, -3, 2)
+
+    @given(decs, decs, nonzero_decs)
+    def test_is_the_mantissa_of_dec_muldiv(self, a, b, c):
+        assert trunc_muldiv(a.mantissa, b.mantissa, c.mantissa) == dec_muldiv(a, b, c).mantissa
 
 
 class TestComparisonAndIdentity:

@@ -3,13 +3,15 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import plfkit.scenarios
 
 from plfkit.analytics import concentration, track_efficiency
 from plfkit.engine import replay
 from plfkit.events import read_events
-from plfkit.fixedpoint import Dec
+from plfkit.fixedpoint import MANTISSA_BOUND, ONE, SCALE, ZERO, Dec, DecOverflowError, dec_muldiv
 from plfkit.model import GlobalState, validate_state
 from plfkit.risk import liquidable_accounts
 from plfkit.scenarios import (
@@ -27,6 +29,9 @@ from plfkit.scenarios import (
     ground_truth_to_dict,
     spec_from_dict,
     spec_to_dict,
+    _MiniMarket,
+    _MiniPos,
+    _NaiveState,
 )
 from streams import ACCT_A, hand_fixture
 
@@ -327,3 +332,163 @@ class TestGroundTruthOracle:
         truth = ground_truth(hand_fixture(), [4, 13])
         rebuilt = ground_truth_from_dict(ground_truth_to_dict(truth))
         assert rebuilt == truth
+
+
+def reference_health(naive, account, price_override=None, index_override=None, factor_override=None):
+    """The oracle's valuation on Dec objects, kept as a literal reference
+    for ``_NaiveState._sums`` (``_accrued`` inlined)."""
+    power = ZERO
+    borrow_value = ZERO
+    collateral_value = ZERO
+    for symbol, pos in naive.positions.get(account, {}).items():
+        if pos.ctokens.is_zero() and pos.principal.is_zero():
+            continue
+        market = naive.markets[symbol]
+        price = naive.prices[symbol]
+        if price_override and symbol in price_override:
+            price = price_override[symbol]
+        factor = market.factor
+        if factor_override and symbol in factor_override:
+            factor = factor_override[symbol]
+        index = market.index
+        if index_override and symbol in index_override:
+            index = index_override[symbol]
+        if not pos.ctokens.is_zero():
+            base = pos.ctokens * market.rate
+            collateral_value = collateral_value + base * price
+            power = power + (base * factor) * price
+        if not pos.principal.is_zero():
+            borrow_value = borrow_value + dec_muldiv(pos.principal, index, pos.snapshot) * price
+    return power, borrow_value, collateral_value
+
+
+def outcome(valuation, *args, **kwargs):
+    try:
+        return valuation(*args, **kwargs)
+    except DecOverflowError:
+        return DecOverflowError
+
+
+SYMBOLS = ("AAA", "BBB", "CCC")
+ACCOUNTS = ("0x" + "01" * 20, "0x" + "02" * 20)
+
+
+def decimals(max_whole):
+    return st.builds(
+        lambda whole, frac: Dec.from_mantissa(whole * SCALE + frac),
+        st.integers(0, max_whole),
+        st.integers(0, SCALE - 1),
+    )
+
+
+
+amounts = st.one_of(st.just(ZERO), decimals(10 ** 6))
+# Some books also hold amounts near the top of the carrier, so that sums overflow.
+amounts_near_carrier = st.one_of(
+    amounts, st.integers(MANTISSA_BOUND >> 8, MANTISSA_BOUND - 1).map(Dec.from_mantissa)
+)
+positive = decimals(10 ** 4).filter(lambda d: not d.is_zero())
+fractions = st.integers(0, 100).map(lambda percent: Dec(percent) / Dec(100))
+
+
+@st.composite
+def naive_books(draw):
+    """A _NaiveState with random markets, prices and holdings, empty
+    positions included, plus one of health()'s overrides."""
+    naive = _NaiveState()
+    symbols = draw(st.lists(st.sampled_from(SYMBOLS), min_size=1, max_size=3, unique=True))
+    for symbol in symbols:
+        naive.markets[symbol] = _MiniMarket(rate=draw(positive), index=draw(positive), factor=draw(fractions))
+        naive.prices[symbol] = draw(positive)
+    sizes = draw(st.sampled_from([amounts, amounts_near_carrier]))
+    for account in ACCOUNTS:
+        held = draw(st.lists(st.sampled_from(symbols), max_size=len(symbols), unique=True))
+        for symbol in held:
+            pos = _MiniPos(ctokens=draw(sizes), principal=draw(sizes), snapshot=draw(positive))
+            naive.positions.setdefault(account, {})[symbol] = pos
+            naive.members.setdefault(symbol, []).append(account)
+    name = draw(st.sampled_from([None, "price_override", "index_override", "factor_override"]))
+    override = {}
+    if name is not None:
+        values = fractions if name == "factor_override" else positive
+        chosen = draw(st.lists(st.sampled_from(symbols), min_size=1, unique=True))
+        override[name] = {symbol: draw(values) for symbol in chosen}
+    return naive, override
+
+
+class TestOracleValuationAgainstReference:
+    """health() on int mantissas equals the Dec-object valuation, overflow
+    for overflow, and is_liquidable / drift_safe read the same sums."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(naive_books())
+    def test_health_matches_dec_reference(self, book):
+        naive, override = book
+        for account in ACCOUNTS + ("0x" + "03" * 20,):  # the last holds nothing
+            expected = outcome(reference_health, naive, account, **override)
+            assert outcome(naive.health, account, **override) == expected
+            if not override:
+                liquidable = expected if expected is DecOverflowError else expected[0] < expected[1]
+                assert outcome(naive.is_liquidable, account) == liquidable
+
+    @settings(max_examples=200, deadline=None)
+    @given(naive_books())
+    def test_drift_safe_matches_dec_reference(self, book):
+        naive, override = book
+        for symbol in naive.markets:
+            try:
+                expected = True
+                for account in naive.members.get(symbol, ()):
+                    power, borrow_value, _ = reference_health(naive, account, **override)
+                    if not borrow_value.is_zero() and power < borrow_value * Dec("1.02"):
+                        expected = False
+                        break
+            except DecOverflowError:
+                expected = DecOverflowError
+            assert outcome(naive.drift_safe, symbol, **override) == expected
+
+    @pytest.mark.parametrize("ctokens,safe,liquidable", [
+        ("102", True, False),
+        ("101.999999999999999999", False, False),
+        ("100", False, False),
+        ("99.999999999999999999", False, True),
+    ])
+    def test_margins_at_equality(self, ctokens, safe, liquidable):
+        naive = _NaiveState()
+        naive.markets["AAA"] = _MiniMarket(rate=ONE, index=ONE, factor=ONE)
+        naive.prices["AAA"] = ONE
+        naive.positions[ACCT_A] = {"AAA": _MiniPos(ctokens=Dec(ctokens), principal=Dec(100))}
+        naive.members["AAA"] = [ACCT_A]
+        assert naive.drift_safe("AAA") is safe  # power >= 1.02 * borrow value
+        assert naive.is_liquidable(ACCT_A) is liquidable  # power < borrow value
+
+    def test_collateral_value_alone_leaves_the_carrier(self):
+        naive = _NaiveState()
+        naive.markets["AAA"] = _MiniMarket(rate=Dec("0.02"), index=ONE, factor=Dec("0.5"))
+        naive.prices["AAA"] = Dec(500)
+        naive.positions[ACCT_A] = {"AAA": _MiniPos(ctokens=Dec("9" * 58))}
+        naive.members["AAA"] = [ACCT_A]
+        # Power, half the collateral value, fits; the collateral value does not.
+        assert ((Dec("9" * 58) * Dec("0.02")) * Dec("0.5")) * Dec(500) > ZERO
+        with pytest.raises(DecOverflowError):
+            reference_health(naive, ACCT_A)
+        with pytest.raises(DecOverflowError):
+            naive.health(ACCT_A)
+        with pytest.raises(DecOverflowError):
+            naive.is_liquidable(ACCT_A)
+
+
+def test_ground_truth_values_every_account_after_every_event(monkeypatch):
+    """The oracle stays naive: one valuation per account with a position,
+    after every event, and nothing skipped."""
+    calls = []
+    valuation = _NaiveState.is_liquidable
+    monkeypatch.setattr(_NaiveState, "is_liquidable", lambda self, a: calls.append(a) or valuation(self, a))
+    events = hand_fixture()
+    ground_truth(events, [])
+    expected = []
+    seen = set()
+    for event in events:
+        seen.update(event.payload[f] for f in ("account", "borrower", "liquidator") if f in event.payload)
+        expected.extend(sorted(seen))
+    assert calls == expected

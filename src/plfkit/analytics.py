@@ -72,7 +72,8 @@ def track_efficiency(
     negative. Recovery closes it silently; a LiquidateBorrow closes it
     with a record of blocks elapsed and the USD value seized. A
     liquidation that finds no open streak records zero blocks and a
-    warning: at engine precision the account was never liquidable.
+    warning: at engine precision the account was never liquidable. The
+    engine's own warnings come first, in event order.
     """
     timeline = EfficiencyTimeline()
     open_streaks: dict[str, OrderingKey] = {}
@@ -89,7 +90,8 @@ def track_efficiency(
 
     for event in events:
         payload = event.payload
-        _, accounts, repriced = _apply(state, event)
+        warnings, accounts, repriced = _apply(state, event)
+        timeline.warnings.extend(warnings)
 
         if event.kind == "LiquidateBorrow":
             borrower = payload["borrower"]

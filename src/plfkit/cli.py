@@ -2,9 +2,11 @@
 
 Each subcommand is a thin adapter over one library operation: load state
 from an event stream or a snapshot, call the operation, format rows as
-CSV or JSON. No balance arithmetic happens here. Diagnostics and replay
-warnings go to standard error; only the requested table goes to the
-chosen output.
+CSV or JSON. A table's columns are the named fields of the library record
+it prints, in the order given by its column tuple, which is the only place
+that schema is written. No balance arithmetic happens here. Diagnostics
+and replay warnings go to standard error; only the requested table goes to
+the chosen output.
 
 Exit codes: 0 success, 1 domain or evaluation error, 2 usage error. main()
 alone turns a library error into its one ``error: ...`` line.
@@ -18,7 +20,7 @@ import io
 import json
 import sys
 from bisect import bisect_right
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from . import __version__
 from .analytics import concentration, efficiency_cdf, funds_time_series, track_efficiency
@@ -135,24 +137,20 @@ def _state_from_args(args: argparse.Namespace) -> GlobalState:
     return _replay(GlobalState.fresh(), _read_stream(args.events, args.at_block))[0]
 
 
-def _encode_cell(value: Any, for_csv: bool) -> Any:
-    if isinstance(value, Dec):
-        return str(value)
-    if value is None:
-        return "" if for_csv else None
-    return value
+def _write_rows(args: argparse.Namespace, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
+    """Write a table whose rows are cells in column order.
 
-
-def _write_rows(args: argparse.Namespace, columns: Sequence[str], rows: list[dict[str, Any]]) -> None:
+    A Dec cell is written as its canonical string; None is an empty CSV
+    cell and a JSON null.
+    """
     if args.format == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_encode_cell(row[c], for_csv=True) for c in columns])
+        writer.writerows(rows)
         text = buffer.getvalue()
     else:
-        payload = [{c: _encode_cell(row[c], for_csv=False) for c in columns} for row in rows]
+        payload = [{c: str(v) if isinstance(v, Dec) else v for c, v in zip(columns, row)} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
@@ -161,9 +159,12 @@ def _write_rows(args: argparse.Namespace, columns: Sequence[str], rows: list[dic
         sys.stdout.write(text)
 
 
-# -- Subcommand bodies ---------------------------------------------------------
+def _write_records(args: argparse.Namespace, columns: Sequence[str], records: Iterable[Any]) -> None:
+    """Write a table whose columns are the named fields of each record."""
+    _write_rows(args, columns, ([getattr(record, c) for c in columns] for record in records))
 
-_REPLAY_COLUMNS = ("events_applied", "final_block", "final_tx_index", "final_log_index", "digest")
+
+# -- Subcommand bodies ---------------------------------------------------------
 
 
 def _cursor_cells(cursor) -> tuple[Any, Any, Any]:
@@ -181,19 +182,10 @@ def cmd_replay(args: argparse.Namespace) -> int:
     _, report = _replay(state, events)
     if args.snapshot_out:
         save_snapshot(state, args.snapshot_out)
-    block, tx_index, log_index = _cursor_cells(state.cursor)
     _write_rows(
         args,
-        _REPLAY_COLUMNS,
-        [
-            {
-                "events_applied": report.events_applied,
-                "final_block": block,
-                "final_tx_index": tx_index,
-                "final_log_index": log_index,
-                "digest": report.digest,
-            }
-        ],
+        ("events_applied", "final_block", "final_tx_index", "final_log_index", "digest"),
+        [(report.events_applied, *_cursor_cells(state.cursor), report.digest)],
     )
     return 0
 
@@ -208,17 +200,7 @@ def cmd_liquidable(args: argparse.Namespace) -> int:
         "collateral_value_usd",
         "ratio",
     )
-    rows = [
-        {
-            "account": account,
-            "collateral_power_usd": health.collateral_power_usd,
-            "borrow_value_usd": health.borrow_value_usd,
-            "surplus_usd": health.surplus_usd,
-            "collateral_value_usd": health.collateral_value_usd,
-            "ratio": health.ratio,
-        }
-        for account, health in unhealthy.items()
-    ]
+    rows = [(account, *(getattr(health, c) for c in columns[1:])) for account, health in unhealthy.items()]
     _write_rows(args, columns, rows)
     return 0
 
@@ -227,17 +209,11 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
     state = _state_from_args(args)
     if args.asset not in state.markets:
         raise CliError(f"no market listed for asset {args.asset!r}")
-    table = price_sensitivity(state, args.asset, args.shocks)
-    columns = ("shock", "liquidable_accounts", "liquidable_collateral_usd")
-    rows = [
-        {
-            "shock": row.shock,
-            "liquidable_accounts": row.liquidable_accounts,
-            "liquidable_collateral_usd": row.liquidable_collateral_usd,
-        }
-        for row in table
-    ]
-    _write_rows(args, columns, rows)
+    _write_records(
+        args,
+        ("shock", "liquidable_accounts", "liquidable_collateral_usd"),
+        price_sensitivity(state, args.asset, args.shocks),
+    )
     return 0
 
 
@@ -246,10 +222,7 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
     timeline = track_efficiency(GlobalState.fresh(), events, full_reeval=args.full_reeval)
     for warning in timeline.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    points = efficiency_cdf(timeline, weighting=args.weighting)
-    columns = ("blocks", "cumulative_fraction")
-    rows = [{"blocks": p.blocks, "cumulative_fraction": p.cumulative_fraction} for p in points]
-    _write_rows(args, columns, rows)
+    _write_records(args, ("blocks", "cumulative_fraction"), efficiency_cdf(timeline, weighting=args.weighting))
     return 0
 
 
@@ -260,56 +233,24 @@ def cmd_concentration(args: argparse.Namespace) -> int:
         f"top1_share={report.top1_share} top{report.top_n}_share={report.topn_share}",
         file=sys.stderr,
     )
-    columns = ("rank", "account", "value_usd", "share")
-    rows = [
-        {"rank": i + 1, "account": row.account, "value_usd": row.value_usd, "share": row.share}
-        for i, row in enumerate(report.rows)
-    ]
-    _write_rows(args, columns, rows)
+    _write_records(args, ("rank", "account", "value_usd", "share"), report.rows)
     return 0
 
 
 def cmd_timeseries(args: argparse.Namespace) -> int:
-    rows_out = funds_time_series(GlobalState.fresh(), _read_stream(args.events), stride=args.stride)
-    columns = ("block", "supplied_usd", "borrowed_usd", "locked_usd")
-    rows = [
-        {
-            "block": row.block,
-            "supplied_usd": row.supplied_usd,
-            "borrowed_usd": row.borrowed_usd,
-            "locked_usd": row.locked_usd,
-        }
-        for row in rows_out
-    ]
-    _write_rows(args, columns, rows)
+    _write_records(
+        args,
+        ("block", "supplied_usd", "borrowed_usd", "locked_usd"),
+        funds_time_series(GlobalState.fresh(), _read_stream(args.events), stride=args.stride),
+    )
     return 0
 
 
 def cmd_leverage(args: argparse.Namespace) -> int:
-    result = quote(args.alpha, args.delta, args.rounds, args.premium)
-    columns = (
-        "alpha",
-        "delta",
-        "rounds",
-        "premium",
-        "total_collateral",
-        "total_debt",
-        "max_exposure",
-    )
-    _write_rows(
+    _write_records(
         args,
-        columns,
-        [
-            {
-                "alpha": args.alpha,
-                "delta": args.delta,
-                "rounds": args.rounds,
-                "premium": args.premium,
-                "total_collateral": result.total_collateral,
-                "total_debt": result.total_debt,
-                "max_exposure": result.max_exposure,
-            }
-        ],
+        ("alpha", "delta", "rounds", "premium", "total_collateral", "total_debt", "max_exposure"),
+        [quote(args.alpha, args.delta, args.rounds, args.premium)],
     )
     return 0
 
@@ -337,39 +278,15 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
         result = generate(spec, args.events_out, args.annotations_out)
     except GenerationError as exc:
         raise CliError(str(exc)) from None
-    _write_rows(
-        args,
-        ("events_path", "annotations_path", "event_count", "final_block"),
-        [
-            {
-                "events_path": result.events_path,
-                "annotations_path": result.annotations_path,
-                "event_count": result.event_count,
-                "final_block": result.final_block,
-            }
-        ],
-    )
+    _write_records(args, ("events_path", "annotations_path", "event_count", "final_block"), [result])
     return 0
 
 
-_SNAPSHOT_COLUMNS = ("path", "format_version", "final_block", "final_tx_index", "final_log_index", "digest")
-
-
 def _snapshot_row(args: argparse.Namespace, path: str, meta) -> None:
-    block, tx_index, log_index = _cursor_cells(meta.cursor)
     _write_rows(
         args,
-        _SNAPSHOT_COLUMNS,
-        [
-            {
-                "path": path,
-                "format_version": meta.format_version,
-                "final_block": block,
-                "final_tx_index": tx_index,
-                "final_log_index": log_index,
-                "digest": meta.digest,
-            }
-        ],
+        ("path", "format_version", "final_block", "final_tx_index", "final_log_index", "digest"),
+        [(path, meta.format_version, *_cursor_cells(meta.cursor), meta.digest)],
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import gc
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Any, Iterable, Iterator
 
 from .fixedpoint import SCALE, Dec
@@ -331,10 +331,19 @@ def parse_event_line(line: str, line_number: int | None = None) -> EventRecord:
 
 
 def _encode_value(value: Any) -> Any:
+    """Plain JSON data, with every Dec as its canonical string.
+
+    Dicts, lists, tuples and dataclass instances (field by field, in
+    declaration order) are walked; anything else is returned as it is.
+    """
     if isinstance(value, Dec):
         return str(value)
     if isinstance(value, dict):
         return {k: _encode_value(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode_value(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: _encode_value(getattr(value, f.name)) for f in fields(value)}
     return value
 
 

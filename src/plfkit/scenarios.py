@@ -27,6 +27,7 @@ from .events import (
     _dec_fraction,
     _dec_nonneg,
     _dec_positive,
+    _encode_value,
     is_valid_address,
     write_events,
 )
@@ -115,42 +116,8 @@ def default_spec(seed: int, event_count: int = 400, accounts: int = 8) -> Scenar
 
 
 def spec_to_dict(spec: ScenarioSpec) -> dict[str, Any]:
-    return {
-        "seed": spec.seed,
-        "accounts": spec.accounts,
-        "event_count": spec.event_count,
-        "close_factor": str(spec.close_factor),
-        "liquidation_incentive": str(spec.liquidation_incentive),
-        "checkpoint_count": spec.checkpoint_count,
-        "markets": [
-            {
-                "symbol": m.symbol,
-                "initial_exchange_rate": str(m.initial_exchange_rate),
-                "collateral_factor": str(m.collateral_factor),
-                "price": {
-                    "initial": str(m.price.initial),
-                    "max_step_bps": m.price.max_step_bps,
-                    "floor": None if m.price.floor is None else str(m.price.floor),
-                    "cap": None if m.price.cap is None else str(m.price.cap),
-                },
-            }
-            for m in spec.markets
-        ],
-        "planned_liquidations": [
-            {
-                "account": p.account,
-                "liquidable_block": p.liquidable_block,
-                "liquidation_block": p.liquidation_block,
-            }
-            for p in spec.planned_liquidations
-        ],
-        "planned_concentration": None
-        if spec.planned_concentration is None
-        else {
-            "side": spec.planned_concentration.side,
-            "shares": [str(s) for s in spec.planned_concentration.shares],
-        },
-    }
+    """The spec as plain JSON data: its field names, with Decs as strings."""
+    return _encode_value(spec)
 
 
 def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
@@ -494,33 +461,8 @@ def ground_truth(
 
 def ground_truth_to_dict(truth: GroundTruth) -> dict[str, Any]:
     return {
-        "checkpoints": [
-            {
-                "block": cp.block,
-                "liquidable": list(cp.liquidable),
-                "markets": {
-                    symbol: {
-                        "total_ctoken_supply": str(check.total_ctoken_supply),
-                        "participant_ctoken_sum": str(check.participant_ctoken_sum),
-                        "total_borrows": str(check.total_borrows),
-                        "participant_accrued_sum": str(check.participant_accrued_sum),
-                    }
-                    for symbol, check in cp.markets.items()
-                },
-            }
-            for cp in truth.checkpoints
-        ],
-        "efficiency_records": [
-            {
-                "account": rec.account,
-                "start_block": rec.start_block,
-                "liquidation_block": rec.liquidation_block,
-                "blocks_elapsed": rec.blocks_elapsed,
-                "seized_value_usd": str(rec.seized_value_usd),
-                "warned": rec.warned,
-            }
-            for rec in truth.efficiency
-        ],
+        "checkpoints": _encode_value(truth.checkpoints),
+        "efficiency_records": _encode_value(truth.efficiency),
     }
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .engine import state_digest
 from .events import OrderingKey
@@ -74,8 +74,10 @@ def _read_document(path: str) -> dict:
         raise SnapshotError(f"snapshot is not valid JSON: {exc.msg}") from None
     if not isinstance(document, dict):
         raise SnapshotError("snapshot must be a JSON object")
-    if document.get("format_version") != FORMAT_VERSION:
-        raise SnapshotVersionError(document.get("format_version"))
+    version = document.get("format_version")
+    # The integer 1 only: True and 1.0 compare equal to it.
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise SnapshotVersionError(version)
     for field in ("digest", "state"):
         if field not in document:
             raise SnapshotError(f"snapshot missing '{field}'")
@@ -86,7 +88,7 @@ def read_snapshot(path: str) -> tuple[GlobalState, SnapshotMeta]:
     """Load a snapshot and its header: one read, one digest.
 
     The digest is recomputed from the rebuilt state and must match the
-    stored one.
+    stored one; then the header cursor must equal the state's cursor.
     """
     document = _read_document(path)
     try:
@@ -96,6 +98,11 @@ def read_snapshot(path: str) -> tuple[GlobalState, SnapshotMeta]:
     actual = state_digest(state)
     if actual != document["digest"]:
         raise SnapshotDigestError(document["digest"], actual)
+    cursor = None if state.cursor is None else asdict(state.cursor)
+    header = document.get("cursor", "(missing)")
+    # Compared as JSON text: 13.0 and true are not the integers 13 and 1.
+    if encode_canonical(header) != encode_canonical(cursor):
+        raise SnapshotError(f"snapshot header cursor {header!r} does not match the state's cursor {cursor!r}")
     return state, SnapshotMeta(format_version=FORMAT_VERSION, cursor=state.cursor, digest=actual)
 
 

@@ -292,7 +292,7 @@ def reference_track_efficiency(
 
     for event in events:
         payload = event.payload
-        apply_event(state, event)
+        timeline.warnings.extend(apply_event(state, event))
 
         if event.kind == "LiquidateBorrow":
             borrower = payload["borrower"]

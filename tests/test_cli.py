@@ -6,11 +6,13 @@ import pytest
 from plfkit.cli import main
 from plfkit.engine import replay
 from plfkit.events import write_events
+from plfkit.fixedpoint import Dec
 from plfkit.model import GlobalState
 from streams import (
     ACCT_A,
     cdf_profile_stream,
     hand_fixture,
+    make_event,
     sensitivity_stream,
 )
 
@@ -310,6 +312,22 @@ class TestEfficiency:
         _, slow, _ = run(capsys, "efficiency", "--events", files["cdf"], "--full-reeval")
         assert fast == slow
 
+    def test_engine_warnings_are_printed(self, capsys, files, tmp_path):
+        events = hand_fixture()
+        mint = events[5]
+        events[5] = make_event(2, 0, 0, "Mint", "DAI", account=mint.payload["account"],
+                               amount_underlying=Dec(11), amount_ctokens=Dec(500))
+        path = str(tmp_path / "drift.jsonl")
+        write_events(path, events)
+        _, _, replay_err = run(capsys, "replay", "--events", path)
+        assert replay_err == (
+            "warning: event 2:0:0: mint amounts disagree with exchange rate 0.02: "
+            "underlying 11 vs 500 ctokens\n"
+        )
+        code, out, err = run(capsys, "efficiency", "--events", path)
+        assert (code, err) == (0, replay_err)
+        assert out == run(capsys, "efficiency", "--events", files["hand"])[1]
+
 
 class TestConcentration:
     def test_supply_ranking_and_summary(self, capsys, files):
@@ -364,6 +382,30 @@ class TestLeverage:
                         "--rounds", "2", "--premium", "0.1")
         assert rows_of(out)[0]["total_debt"] == "82.5"
 
+    def test_exact_output(self, capsys):
+        argv = ("leverage", "--alpha", "100", "--delta", "2", "--rounds", "2", "--premium", "0.1")
+        assert run(capsys, *argv) == (
+            0,
+            "alpha,delta,rounds,premium,total_collateral,total_debt,max_exposure\n"
+            "100,2,2,0.1,175,82.5,200\n",
+            "",
+        )
+        assert run(capsys, *argv, "--format", "json") == (
+            0,
+            "[\n"
+            "  {\n"
+            '    "alpha": "100",\n'
+            '    "delta": "2",\n'
+            '    "rounds": 2,\n'
+            '    "premium": "0.1",\n'
+            '    "total_collateral": "175",\n'
+            '    "total_debt": "82.5",\n'
+            '    "max_exposure": "200"\n'
+            "  }\n"
+            "]\n",
+            "",
+        )
+
     def test_delta_must_exceed_one(self, capsys):
         code, _, _ = run(capsys, "leverage", "--alpha", "100", "--delta", "1",
                          "--rounds", "2")
@@ -397,6 +439,23 @@ class TestGenScenario:
         with open(ann_out, "r", encoding="ascii") as handle:
             annotation = json.load(handle)
         assert annotation["seed"] == 3
+
+    def test_exact_json_output(self, capsys, tmp_path):
+        code, out, err = run(capsys, "gen-scenario", "--seed", "3", "--event-count", "120",
+                             "--format", "json",
+                             "--events-out", str(tmp_path / "gen.jsonl"),
+                             "--annotations-out", str(tmp_path / "gen.json"))
+        assert (code, err) == (0, "")
+        assert out.replace(str(tmp_path), "TMP") == (
+            "[\n"
+            "  {\n"
+            '    "events_path": "TMP/gen.jsonl",\n'
+            '    "annotations_path": "TMP/gen.json",\n'
+            '    "event_count": 120,\n'
+            '    "final_block": 88\n'
+            "  }\n"
+            "]\n"
+        )
 
     def test_spec_file_with_seed_override(self, capsys, tmp_path):
         from plfkit.scenarios import default_spec, spec_to_dict

@@ -182,6 +182,27 @@ def test_tampered_snapshot(capsys, tmp_path, command):
     assert "snapshot digest mismatch" in err
 
 
+@pytest.mark.parametrize("header,value,expected", [
+    ("cursor", {"block": 99, "tx_index": 1, "log_index": 0}, "does not match the state's cursor"),
+    ("format_version", True, "unsupported snapshot format version True"),
+    ("format_version", 1.0, "unsupported snapshot format version 1.0"),
+], ids=["cursor-block-99", "version-true", "version-1.0"])
+@pytest.mark.parametrize("command", ["liquidable", "snapshot-load", "snapshot-verify"])
+def test_bad_snapshot_header(capsys, tmp_path, command, header, value, expected):
+    stream = tmp_path / "hand.jsonl"
+    write_events(str(stream), hand_fixture())
+    snap = tmp_path / "hand.snap"
+    assert main(["snapshot", "save", "--events", str(stream), "--out-path", str(snap)]) == 0
+    document = json.loads(snap.read_text())
+    document[header] = value
+    snap.write_text(json.dumps(document))
+    capsys.readouterr()
+    argv = [part.format(stream=stream, snap=snap) for part in _SNAPSHOT_COMMANDS[command]]
+    code, out, err = _run(capsys, argv)
+    _assert_one_error_line(code, out, err)
+    assert expected in err
+
+
 @pytest.mark.parametrize("command", sorted(_UNWRITABLE_OUTPUTS))
 def test_unwritable_output(capsys, tmp_path, command):
     stream = tmp_path / "hand.jsonl"

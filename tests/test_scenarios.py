@@ -16,8 +16,12 @@ from plfkit.model import GlobalState, validate_state
 from plfkit.risk import liquidable_accounts
 from plfkit.scenarios import (
     ANNOTATION_FORMAT_VERSION,
+    Checkpoint,
     ConcentrationPlan,
+    EfficiencyCheck,
     GenerationError,
+    GroundTruth,
+    MarketCheck,
     MarketSpec,
     PlannedLiquidation,
     PricePath,
@@ -67,6 +71,43 @@ class TestSpecSerialization:
         spec.planned_concentration = ConcentrationPlan("borrow", (Dec("0.3"), Dec("0.2")))
         rebuilt = spec_from_dict(spec_to_dict(spec))
         assert spec_to_dict(rebuilt) == spec_to_dict(spec)
+
+    def test_field_names_and_encoding(self):
+        spec = default_spec(7)
+        assert spec_to_dict(spec) == {
+            "seed": 7,
+            "accounts": 8,
+            "event_count": 400,
+            "close_factor": "0.5",
+            "liquidation_incentive": "0.1",
+            "checkpoint_count": 5,
+            "markets": [
+                {
+                    "symbol": "DAI",
+                    "initial_exchange_rate": "0.02",
+                    "collateral_factor": "0.75",
+                    "price": {"initial": "1", "max_step_bps": 5, "floor": None, "cap": None},
+                },
+                {
+                    "symbol": "ETH",
+                    "initial_exchange_rate": "0.05",
+                    "collateral_factor": "0.6",
+                    "price": {"initial": "100", "max_step_bps": 25, "floor": None, "cap": None},
+                },
+            ],
+            "planned_liquidations": [
+                {"account": PLANNED, "liquidable_block": 40, "liquidation_block": 42},
+            ],
+            "planned_concentration": None,
+        }
+        spec.planned_concentration = ConcentrationPlan("borrow", (Dec("0.3"), Dec("0.25")))
+        spec.markets[0] = MarketSpec("DAI", Dec("0.02"), Dec("0.75"),
+                                     PricePath(Dec(1), 5, floor=Dec("0.9"), cap=Dec("1.1")))
+        data = spec_to_dict(spec)
+        assert data["planned_concentration"] == {"side": "borrow", "shares": ["0.3", "0.25"]}
+        assert data["markets"][0]["price"] == {
+            "initial": "1", "max_step_bps": 5, "floor": "0.9", "cap": "1.1",
+        }
 
     def test_defaults_fill_in(self):
         data = spec_to_dict(default_spec(1))
@@ -327,6 +368,54 @@ class TestGroundTruthOracle:
         truth = ground_truth(hand_fixture(), [999])
         assert truth.checkpoints[0].block == 999
         assert truth.checkpoints[0].markets["DAI"].total_borrows == Dec(210)
+
+    def test_dict_field_names_and_encoding(self):
+        check = MarketCheck(Dec(500), Dec(500), Dec("115.5"), Dec("115.5"))
+        truth = GroundTruth(
+            checkpoints=[
+                Checkpoint(block=4, liquidable=(), markets={"DAI": check}),
+                Checkpoint(block=10, liquidable=(ACCT_A,), markets={}),
+            ],
+            efficiency=[
+                EfficiencyCheck(ACCT_A, 10, 12, 2, Dec("109.99999999999999998")),
+                EfficiencyCheck(PLANNED, 12, 12, 0, ZERO, warned=True),
+            ],
+        )
+        assert ground_truth_to_dict(truth) == {
+            "checkpoints": [
+                {
+                    "block": 4,
+                    "liquidable": [],
+                    "markets": {
+                        "DAI": {
+                            "total_ctoken_supply": "500",
+                            "participant_ctoken_sum": "500",
+                            "total_borrows": "115.5",
+                            "participant_accrued_sum": "115.5",
+                        },
+                    },
+                },
+                {"block": 10, "liquidable": [ACCT_A], "markets": {}},
+            ],
+            "efficiency_records": [
+                {
+                    "account": ACCT_A,
+                    "start_block": 10,
+                    "liquidation_block": 12,
+                    "blocks_elapsed": 2,
+                    "seized_value_usd": "109.99999999999999998",
+                    "warned": False,
+                },
+                {
+                    "account": PLANNED,
+                    "start_block": 12,
+                    "liquidation_block": 12,
+                    "blocks_elapsed": 0,
+                    "seized_value_usd": "0",
+                    "warned": True,
+                },
+            ],
+        }
 
     def test_dict_round_trip(self):
         truth = ground_truth(hand_fixture(), [4, 13])

@@ -98,6 +98,47 @@ class TestCorruption:
             load_snapshot(path)
         assert excinfo.value.found == 99
 
+    @pytest.mark.parametrize("version", [True, 1.0, "1", None])
+    def test_version_must_be_the_integer_one(self, replayed_state, tmp_path, version):
+        path = tmp_path / "state.snap"
+        save_snapshot(replayed_state, str(path))
+        document = json.loads(path.read_text())
+        document["format_version"] = version
+        path.write_text(json.dumps(document))
+        with pytest.raises(SnapshotVersionError) as excinfo:
+            load_snapshot(str(path))
+        assert excinfo.value.found == version
+
+    @pytest.mark.parametrize("header", [
+        {"block": 99, "tx_index": 1, "log_index": 0},
+        {"block": 13, "tx_index": 1, "log_index": 0, "extra": 1},
+        {"block": 13.0, "tx_index": 1, "log_index": 0},
+        {"block": 13, "tx_index": True, "log_index": 0},
+        None,
+        "missing",
+    ], ids=["block-99", "extra-key", "float-block", "bool-index", "null", "missing"])
+    def test_header_cursor_must_match_state(self, replayed_state, tmp_path, header):
+        path = tmp_path / "state.snap"
+        save_snapshot(replayed_state, str(path))
+        document = json.loads(path.read_text())
+        if header == "missing":
+            del document["cursor"]
+        else:
+            document["cursor"] = header
+        path.write_text(json.dumps(document))
+        for read in (load_snapshot, verify_snapshot):
+            with pytest.raises(SnapshotError, match="header cursor"):
+                read(str(path))
+
+    def test_fresh_state_header_cursor_must_be_null(self, tmp_path):
+        path = tmp_path / "empty.snap"
+        save_snapshot(GlobalState.fresh(), str(path))
+        document = json.loads(path.read_text())
+        document["cursor"] = {"block": 1, "tx_index": 0, "log_index": 0}
+        path.write_text(json.dumps(document))
+        with pytest.raises(SnapshotError, match="header cursor"):
+            load_snapshot(str(path))
+
     def test_not_json(self, tmp_path):
         path = tmp_path / "garbage.snap"
         path.write_bytes(b"\x00\x01not json")

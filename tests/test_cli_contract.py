@@ -14,7 +14,7 @@ import pytest
 from plfkit.cli import main
 from plfkit.events import write_events
 from plfkit.fixedpoint import Dec
-from plfkit.scenarios import default_spec, spec_to_dict
+from plfkit.scenarios import ConcentrationPlan, default_spec, spec_to_dict
 from streams import ACCT_A, ACCT_B, hand_fixture, make_event
 
 _HUGE = Dec("9" * 58)
@@ -163,6 +163,31 @@ def test_out_of_range_spec_decimal(capsys, tmp_path, field, value, expected):
                                    "--annotations-out", str(tmp_path / "s.json")])
     _assert_one_error_line(code, out, err)
     assert err == expected
+    assert not (tmp_path / "s.jsonl").exists()
+
+
+@pytest.mark.parametrize("path", [
+    ("seed",), ("markets",), ("accounts",), ("event_count",),
+    ("markets", 0, "symbol"), ("markets", 1, "initial_exchange_rate"), ("markets", 0, "collateral_factor"),
+    ("markets", 0, "price"), ("markets", 1, "price", "initial"),
+    ("planned_liquidations", 0, "account"), ("planned_liquidations", 0, "liquidable_block"),
+    ("planned_liquidations", 0, "liquidation_block"),
+    ("planned_concentration", "side"), ("planned_concentration", "shares"),
+], ids=lambda path: ".".join(map(str, path)))
+def test_spec_missing_required_key(capsys, tmp_path, path):
+    spec = default_spec(7, event_count=200)
+    spec.planned_concentration = ConcentrationPlan("supply", (Dec("0.274"),))
+    data = spec_to_dict(spec)
+    holder = data
+    for step in path[:-1]:
+        holder = holder[step]
+    del holder[path[-1]]
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(data))
+    code, out, err = _run(capsys, ["gen-scenario", "--spec", str(spec_path), "--events-out", str(tmp_path / "s.jsonl"),
+                                   "--annotations-out", str(tmp_path / "s.json")])
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: {spec_path}: bad scenario spec: '{path[-1]}'\n"
     assert not (tmp_path / "s.jsonl").exists()
 
 

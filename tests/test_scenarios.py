@@ -65,12 +65,30 @@ def test_oracle_imports_no_engine_code():
             assert allowed[module] is None or names <= allowed[module], f"scenarios imports {names} from {module}"
 
 
+def _spec_variant(plans=1, concentration=None, floor=None, cap=None):
+    spec = default_spec(9, event_count=150)
+    spec.planned_liquidations = [
+        PlannedLiquidation("0x" + f"{i + 1:02x}" * 20, 40 + 10 * i, 42 + 10 * i) for i in range(plans)
+    ]
+    spec.planned_concentration = concentration
+    spec.markets[1] = MarketSpec("ETH", Dec("0.05"), Dec("0.6"), PricePath(Dec(100), 25, floor, cap))
+    return spec
+
+
 class TestSpecSerialization:
     def test_round_trip(self):
-        spec = default_spec(9, event_count=150)
-        spec.planned_concentration = ConcentrationPlan("borrow", (Dec("0.3"), Dec("0.2")))
-        rebuilt = spec_from_dict(spec_to_dict(spec))
-        assert spec_to_dict(rebuilt) == spec_to_dict(spec)
+        for spec in [
+            _spec_variant(concentration=ConcentrationPlan("borrow", (Dec("0.3"), Dec("0.2")))),
+            _spec_variant(plans=0),
+            _spec_variant(plans=2, concentration=ConcentrationPlan("supply", (Dec("0.274"),))),
+            _spec_variant(plans=3),
+            _spec_variant(floor=Dec("90"), cap=Dec("110.5")),
+            _spec_variant(floor=Dec("90")),
+            _spec_variant(cap=Dec("110.5")),
+        ]:
+            rebuilt = spec_from_dict(spec_to_dict(spec))
+            assert rebuilt == spec
+            assert spec_to_dict(rebuilt) == spec_to_dict(spec)
 
     def test_field_names_and_encoding(self):
         spec = default_spec(7)
@@ -110,12 +128,34 @@ class TestSpecSerialization:
         }
 
     def test_defaults_fill_in(self):
-        data = spec_to_dict(default_spec(1))
-        del data["close_factor"]
-        del data["planned_concentration"]
-        spec = spec_from_dict(data)
-        assert spec.close_factor == Dec("0.5")
-        assert spec.planned_concentration is None
+        """An absent optional key decodes to its declared default; keys the
+        spec does not declare are ignored at every level."""
+        optional = ("close_factor", "liquidation_incentive", "checkpoint_count", "planned_liquidations",
+                    "planned_concentration", "max_step_bps", "floor", "cap")
+        for absent in [(key,) for key in optional] + [optional]:
+            for extra in ({}, {"note": "ignored", "version": 2}):
+                data = spec_to_dict(_spec_variant(
+                    plans=2, concentration=ConcentrationPlan("borrow", (Dec("0.3"),)), floor=Dec(90), cap=Dec(110)))
+                data.update(close_factor="0.4", liquidation_incentive="0.05", checkpoint_count=7)
+                prices = [market["price"] for market in data["markets"]]
+                for key in absent:
+                    for holder in [data] + prices:
+                        holder.pop(key, None)
+                for holder in ([data, data.get("planned_concentration") or {}] + data["markets"] + prices
+                               + data.get("planned_liquidations", [])):
+                    holder.update(extra)
+                spec = spec_from_dict(data)
+                assert spec.close_factor == Dec("0.5" if "close_factor" in absent else "0.4")
+                assert spec.liquidation_incentive == Dec("0.1" if "liquidation_incentive" in absent else "0.05")
+                assert spec.checkpoint_count == (5 if "checkpoint_count" in absent else 7)
+                assert len(spec.planned_liquidations) == (0 if "planned_liquidations" in absent else 2)
+                assert (spec.planned_concentration is None) == ("planned_concentration" in absent)
+                for market, step in zip(spec.markets, (5, 25)):
+                    assert market.price.max_step_bps == (20 if "max_step_bps" in absent else step)
+                eth = spec.markets[1].price
+                assert eth.floor == (None if "floor" in absent else Dec(90))
+                assert eth.cap == (None if "cap" in absent else Dec(110))
+                assert spec.markets[0].price.floor is None and spec.markets[0].price.cap is None
 
 
 class TestSpecValidation:

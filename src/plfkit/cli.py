@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 from . import __version__
 from .analytics import concentration, efficiency_cdf, funds_time_series, track_efficiency
 from .engine import ReplayError, ReplayReport, TransitionError, replay
-from .events import EventParseError, EventRecord, StreamOrderError, read_events
+from .events import EventParseError, EventRecord, StreamOrderError, _parse_json, read_events
 from .fixedpoint import ONE, ZERO, Dec, DecOverflowError, DecParseError
 from .leverage import quote
 from .model import GlobalState, MissingPriceError
@@ -259,11 +259,11 @@ def cmd_gen_scenario(args: argparse.Namespace) -> int:
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as handle:
-                raw = json.load(handle)
+                raw = _parse_json(handle.read())
         except OSError as exc:
             raise CliError(f"cannot read spec {args.spec}: {exc.strerror or exc}") from None
-        except json.JSONDecodeError as exc:
-            raise CliError(f"{args.spec}: invalid JSON: {exc.msg}") from None
+        except ValueError as exc:  # also the UnicodeDecodeError of read()
+            raise CliError(f"{args.spec}: invalid JSON: {exc}") from None
         try:
             spec = spec_from_dict(raw)
         except (KeyError, TypeError, ValueError) as exc:

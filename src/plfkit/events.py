@@ -11,8 +11,10 @@ from __future__ import annotations
 import gc
 import json
 import re
-from dataclasses import dataclass, field, fields, is_dataclass
-from typing import Any, Iterable, Iterator
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
+from types import UnionType
+from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .fixedpoint import SCALE, Dec
 
@@ -306,26 +308,37 @@ def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> Even
     return EventRecord(key, kind, market, payload)
 
 
+def _parse_json(text: str | bytes) -> Any:
+    """Decode one JSON document: the package's only JSON text reader.
+
+    Every failure is a ValueError carrying one line: a syntax error's
+    message, or the text of the error for an integer beyond int()'s digit
+    limit, nesting beyond the recursion limit, or bytes that are not UTF-8.
+    """
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(exc.msg) from None
+    except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
+        raise ValueError(str(exc)) from None
+
+
 _scan_once = json.JSONDecoder().scan_once
 
 
 def parse_event_line(line: str, line_number: int | None = None) -> EventRecord:
     """Parse one JSONL line into an EventRecord."""
     # The scanner json.loads runs, minus its wrappers. A line it does not
-    # take whole (padding, any error) goes through json.loads, which accepts
-    # it or raises the exact error.
+    # take whole (padding, any error) goes through the full reader, which
+    # accepts it or reports the exact error.
     try:
         obj, end = _scan_once(line, 0)
     except (StopIteration, ValueError, RecursionError):
         end = -1
     if end != len(line):
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise EventParseError(f"invalid JSON: {exc.msg}", line_number=line_number) from None
-        except (ValueError, RecursionError) as exc:
-            # An integer beyond int()'s digit limit, or nesting beyond the
-            # recursion limit.
+            obj = _parse_json(line)
+        except ValueError as exc:
             raise EventParseError(f"invalid JSON: {exc}", line_number=line_number) from None
     return parse_event_obj(obj, line_number=line_number)
 
@@ -345,6 +358,46 @@ def _encode_value(value: Any) -> Any:
     if is_dataclass(value):
         return {f.name: _encode_value(getattr(value, f.name)) for f in fields(value)}
     return value
+
+
+# Cached per class: resolving the string annotations costs more than the
+# decode itself.
+@cache
+def _declared_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """Each field of a dataclass: its name, resolved type, and whether it
+    has no default."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
+    )
+
+
+def _decode_value(hint: Any, raw: Any) -> Any:
+    """The mirror of :func:`_encode_value`: plain JSON data read back as ``hint``.
+
+    A dataclass is built from the keys its fields name: an absent key takes
+    the field's declared default, a missing required one raises KeyError,
+    and keys it does not declare are ignored. A Dec is ``Dec(raw)``;
+    ``list[X]``, ``tuple[X, ...]``, ``dict[str, X]`` and ``X | None`` are
+    walked. Anything else (an int, a str, a Literal) is returned as it is,
+    for the caller to validate.
+    """
+    if hint is Dec:
+        return Dec(raw)
+    if is_dataclass(hint):
+        return hint(**{
+            name: _decode_value(field_hint, raw[name])
+            for name, field_hint, required in _declared_fields(hint)
+            if required or name in raw
+        })
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list or origin is tuple:
+        return origin(_decode_value(args[0], item) for item in raw)
+    if origin is dict:
+        return {key: _decode_value(args[1], item) for key, item in raw.items()}
+    if origin is UnionType:
+        return None if raw is None else _decode_value(args[0], raw)
+    return raw
 
 
 def event_to_obj(event: EventRecord) -> dict[str, Any]:

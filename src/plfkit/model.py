@@ -150,19 +150,10 @@ class GlobalState:
         """Empty state ready to replay a stream from its first event."""
         return cls(params=params if params is not None else ProtocolParams())
 
-    def position(self, account: str, symbol: str, create: bool = False) -> Position | None:
-        """Look up (optionally creating) one account's market position."""
+    def position(self, account: str, symbol: str) -> Position | None:
+        """One account's market position, or None if it holds none."""
         holdings = self.participants.get(account)
-        if holdings is None:
-            if not create:
-                return None
-            holdings = {}
-            self.participants[account] = holdings
-        pos = holdings.get(symbol)
-        if pos is None and create:
-            pos = Position()
-            holdings[symbol] = pos
-        return pos
+        return None if holdings is None else holdings.get(symbol)
 
     def copy(self) -> "GlobalState":
         """Deep copy via the canonical dict round-trip."""

@@ -9,6 +9,9 @@ two routes to the same numbers check each other. What it shares with the
 engine is ``fixedpoint``'s mantissa arithmetic (``checked``, ``trunc_mul``,
 ``trunc_muldiv``); the oracle values accounts on plain int mantissas.
 
+Spec and annotation documents are read back through ``events._decode_value``,
+so each default of a spec field is written once, in its dataclass below.
+
 Randomness comes exclusively from ``random.Random`` seeded with the spec's
 seed: Mersenne Twister (MT19937), whose integer draws are stable across
 platforms and Python versions, making generated streams byte-identical
@@ -27,6 +30,7 @@ from .events import (
     _dec_fraction,
     _dec_nonneg,
     _dec_positive,
+    _decode_value,
     _encode_value,
     is_valid_address,
     write_events,
@@ -121,41 +125,8 @@ def spec_to_dict(spec: ScenarioSpec) -> dict[str, Any]:
 
 
 def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
-    markets = [
-        MarketSpec(
-            symbol=m["symbol"],
-            initial_exchange_rate=Dec(m["initial_exchange_rate"]),
-            collateral_factor=Dec(m["collateral_factor"]),
-            price=PricePath(
-                initial=Dec(m["price"]["initial"]),
-                max_step_bps=m["price"].get("max_step_bps", 20),
-                floor=None if m["price"].get("floor") is None else Dec(m["price"]["floor"]),
-                cap=None if m["price"].get("cap") is None else Dec(m["price"]["cap"]),
-            ),
-        )
-        for m in data["markets"]
-    ]
-    plans = [
-        PlannedLiquidation(p["account"], p["liquidable_block"], p["liquidation_block"])
-        for p in data.get("planned_liquidations", [])
-    ]
-    conc_raw = data.get("planned_concentration")
-    conc = (
-        None
-        if conc_raw is None
-        else ConcentrationPlan(conc_raw["side"], tuple(Dec(s) for s in conc_raw["shares"]))
-    )
-    return ScenarioSpec(
-        seed=data["seed"],
-        markets=markets,
-        accounts=data["accounts"],
-        event_count=data["event_count"],
-        planned_liquidations=plans,
-        planned_concentration=conc,
-        close_factor=Dec(data.get("close_factor", "0.5")),
-        liquidation_incentive=Dec(data.get("liquidation_incentive", "0.1")),
-        checkpoint_count=data.get("checkpoint_count", 5),
-    )
+    """The spec a plain JSON document describes; see ``events._decode_value``."""
+    return _decode_value(ScenarioSpec, data)
 
 
 # -- Naive bookkeeping (the oracle side) -------------------------------------
@@ -467,34 +438,10 @@ def ground_truth_to_dict(truth: GroundTruth) -> dict[str, Any]:
 
 
 def ground_truth_from_dict(data: dict[str, Any]) -> GroundTruth:
-    checkpoints = [
-        Checkpoint(
-            block=cp["block"],
-            liquidable=tuple(cp["liquidable"]),
-            markets={
-                symbol: MarketCheck(
-                    total_ctoken_supply=Dec(m["total_ctoken_supply"]),
-                    participant_ctoken_sum=Dec(m["participant_ctoken_sum"]),
-                    total_borrows=Dec(m["total_borrows"]),
-                    participant_accrued_sum=Dec(m["participant_accrued_sum"]),
-                )
-                for symbol, m in cp["markets"].items()
-            },
-        )
-        for cp in data["checkpoints"]
-    ]
-    records = [
-        EfficiencyCheck(
-            account=rec["account"],
-            start_block=rec["start_block"],
-            liquidation_block=rec["liquidation_block"],
-            blocks_elapsed=rec["blocks_elapsed"],
-            seized_value_usd=Dec(rec["seized_value_usd"]),
-            warned=rec["warned"],
-        )
-        for rec in data["efficiency_records"]
-    ]
-    return GroundTruth(checkpoints=checkpoints, efficiency=records)
+    return GroundTruth(
+        checkpoints=_decode_value(list[Checkpoint], data["checkpoints"]),
+        efficiency=_decode_value(list[EfficiencyCheck], data["efficiency_records"]),
+    )
 
 
 # -- Generation ---------------------------------------------------------------

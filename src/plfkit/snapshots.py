@@ -9,11 +9,10 @@ the cursor; loads verify it before handing the state back.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import asdict, dataclass
 
 from .engine import state_digest
-from .events import OrderingKey
+from .events import OrderingKey, _parse_json
 from .model import GlobalState, encode_canonical, state_from_dict, state_to_dict
 
 FORMAT_VERSION = 1
@@ -69,9 +68,9 @@ def _read_document(path: str) -> dict:
     except OSError as exc:
         raise SnapshotError(f"cannot read snapshot: {exc}") from None
     try:
-        document = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise SnapshotError(f"snapshot is not valid JSON: {exc.msg}") from None
+        document = _parse_json(raw)
+    except ValueError as exc:
+        raise SnapshotError(f"snapshot is not valid JSON: {exc}") from None
     if not isinstance(document, dict):
         raise SnapshotError("snapshot must be a JSON object")
     version = document.get("format_version")

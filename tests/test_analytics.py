@@ -542,9 +542,9 @@ def draw_write(data, state: GlobalState, extreme: bool = False):
                     Dec(str(position.borrow_index_snapshot)),
                 )
         elif what == "empty-position":
-            target.position(account, symbol, create=True)
+            target.participants.setdefault(account, {}).setdefault(symbol, Position())
         else:
-            setattr(target.position(account, symbol, create=True), what, value)
+            setattr(target.participants.setdefault(account, {}).setdefault(symbol, Position()), what, value)
 
     return write
 

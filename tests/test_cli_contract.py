@@ -228,6 +228,33 @@ def test_bad_snapshot_header(capsys, tmp_path, command, header, value, expected)
     assert expected in err
 
 
+# Documents json.loads rejects with something other than a syntax error.
+_UNREADABLE_DOCUMENTS = {
+    "nested-100000-deep": b"[" * 100_000,
+    "int-5000-digits": b'{"format_version": ' + b"1" * 5000 + b"}",
+    "non-utf8-first-byte": b"\x80{}",
+}
+
+
+@pytest.mark.parametrize("document", sorted(_UNREADABLE_DOCUMENTS))
+@pytest.mark.parametrize("command", sorted(_SNAPSHOT_COMMANDS) + ["gen-scenario-spec"])
+def test_unreadable_document(capsys, tmp_path, command, document):
+    stream = tmp_path / "hand.jsonl"
+    write_events(str(stream), hand_fixture())
+    path = tmp_path / "doc.json"
+    path.write_bytes(_UNREADABLE_DOCUMENTS[document])
+    if command == "gen-scenario-spec":
+        argv = ["gen-scenario", "--spec", str(path), "--events-out", str(tmp_path / "s.jsonl"),
+                "--annotations-out", str(tmp_path / "s.json")]
+        reason = f"error: {path}: invalid JSON: "
+    else:
+        argv = [part.format(stream=stream, snap=path) for part in _SNAPSHOT_COMMANDS[command]]
+        reason = "snapshot is not valid JSON: "
+    code, out, err = _run(capsys, argv)
+    _assert_one_error_line(code, out, err)
+    assert reason in err
+
+
 @pytest.mark.parametrize("command", sorted(_UNWRITABLE_OUTPUTS))
 def test_unwritable_output(capsys, tmp_path, command):
     stream = tmp_path / "hand.jsonl"

@@ -471,6 +471,21 @@ def test_no_assert_in_package_source():
         assert lines == [], f"{path.name} asserts at lines {lines}"
 
 
+def test_one_json_reader_in_package_source():
+    """events._parse_json is the only JSON text reader, so every document
+    format fails through its one error path."""
+    uses = []
+    for path in sorted(Path(plfkit.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "json" and node.attr in ("load", "loads")) or (
+                        isinstance(node, ast.ImportFrom) and node.module == "json"
+                        and {alias.name for alias in node.names} & {"load", "loads"}):
+                    uses.append((path.stem, getattr(top, "name", None), node.lineno))
+    assert [use[:2] for use in uses] == [("events", "_parse_json")], uses
+
+
 # -- Random streams with injected bad events ------------------------------------
 
 MARKETS = ("DAI", "ETH", "WBTC")

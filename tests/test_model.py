@@ -117,12 +117,6 @@ class TestGlobalState:
         assert state.position(ACCT_A, "ETH") is None
         assert state.position("0x" + "99" * 20, "DAI") is None
 
-    def test_position_create(self):
-        state = small_state()
-        pos = state.position(ACCT_B, "ETH", create=True)
-        assert pos is not None and pos.is_empty()
-        assert state.participants[ACCT_B]["ETH"] is pos
-
     def test_copy_is_deep(self):
         state = small_state()
         clone = state.copy()

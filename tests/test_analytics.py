@@ -17,8 +17,9 @@ from plfkit.analytics import (
     funds_time_series,
     track_efficiency,
 )
+from plfkit.cli import main
 from plfkit.engine import TransitionError, apply_event, replay
-from plfkit.events import EventRecord, OrderingKey, read_events
+from plfkit.events import EventRecord, OrderingKey, read_events, write_events
 from plfkit.fixedpoint import MANTISSA_BOUND, ONE, ZERO, Dec, DecOverflowError
 from plfkit.model import GlobalState, MarketState, MissingPriceError, Position, ProtocolParams
 from plfkit.risk import LiquidableCache, account_health
@@ -113,6 +114,28 @@ class TestTrackEfficiency:
         assert record.warning == NOT_LIQUIDABLE_WARNING
         assert len(timeline.warnings) == 1
         assert NOT_LIQUIDABLE_WARNING in timeline.warnings[0]
+
+    def test_engine_and_tracker_warnings_keep_event_order(self, capsys, tmp_path):
+        events = hand_fixture()[:15]
+        events[5] = make_event(2, 0, 0, "Mint", "DAI", account=ACCT_A,
+                               amount_underlying=Dec(11), amount_ctokens=Dec(500))
+        events += [
+            make_event(9, 1, 0, "LiquidateBorrow", "DAI", borrower=ACCT_A, liquidator=ACCT_B,
+                       repay_amount_underlying=Dec(10), collateral_market="ETH",
+                       seized_ctokens=Dec(1)),
+            make_event(10, 0, 0, "AccrueInterest", "DAI", new_borrow_index=Dec("1.05"),
+                       new_exchange_rate=Dec("0.0202"), interest_accumulated_underlying=Dec(0)),
+        ]
+        expected = [
+            "event 2:0:0: mint amounts disagree with exchange rate 0.02: underlying 11 vs 500 ctokens",
+            f"event 9:1:0: {NOT_LIQUIDABLE_WARNING}: {ACCT_A}",
+            "event 10:0:0: borrow index decreased from 1.1 to 1.05",
+        ]
+        assert track_efficiency(GlobalState.fresh(), events).warnings == expected
+        path = str(tmp_path / "warnings.jsonl")
+        write_events(path, events)
+        assert main(["efficiency", "--events", path]) == 0
+        assert capsys.readouterr().err == "".join(f"warning: {line}\n" for line in expected)
 
 
 class TestEfficiencyCdf:

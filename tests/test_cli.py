@@ -327,6 +327,10 @@ class TestEfficiency:
         code, out, err = run(capsys, "efficiency", "--events", path)
         assert (code, err) == (0, replay_err)
         assert out == run(capsys, "efficiency", "--events", files["hand"])[1]
+        # The drifted Mint moves the same cTokens, so the table is unchanged.
+        code, out, err = run(capsys, "timeseries", "--events", path)
+        assert (code, err) == (0, replay_err)
+        assert out == run(capsys, "timeseries", "--events", files["hand"])[1]
 
 
 class TestConcentration:

@@ -1,23 +1,24 @@
 """Liquidation efficiency, concentration, and locked-funds analytics.
 
-track_efficiency replays a stream while watching account health after
-every event, timing how long positions stay liquidable before someone
-liquidates them. Only the accounts the engine reports an event changed
-are re-evaluated: those whose positions it wrote, and the holders of the
-market it re-priced. They are valued through risk.LiquidableCache: one
-re-priced term per changed (account, market), with each account's sums
-re-added in holdings order, so the sign and every failure are exactly
-those of a full valuation. Full re-evaluation values every account with
-account_health after every event, without the cache: it is the uncached
-cross-check (the oracle-test mode).
+track_efficiency observes engine._fold, the one event loop, timing how long
+positions stay liquidable before someone liquidates them. Only the
+accounts the engine reports an event changed are re-evaluated: those whose
+positions it wrote, and the holders of the market it re-priced. They are
+valued through risk.LiquidableCache: one re-priced term per changed
+(account, market), with each account's sums re-added in holdings order, so
+the sign and every failure are exactly those of a full valuation. Full
+re-evaluation values every account with account_health after every event,
+without the cache: it is the uncached cross-check (the oracle-test mode).
+funds_time_series folds the stream up to each sample block and values it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Literal, Sequence
 
-from .engine import _apply, apply_event
+from .engine import ReplayReport, _fold, _warn
 from .events import EventRecord, OrderingKey
 from .fixedpoint import ZERO, Dec
 from .model import GlobalState
@@ -88,13 +89,11 @@ def track_efficiency(
             key = state.cursor if state.cursor is not None else OrderingKey(0, 0, 0)
             open_streaks[account] = key
 
-    for event in events:
-        payload = event.payload
-        warnings, accounts, repriced = _apply(state, event)
-        timeline.warnings.extend(warnings)
-
+    def observe(
+        event: EventRecord, warnings: list[str], accounts: tuple[str, ...], repriced: str | None
+    ) -> None:
         if event.kind == "LiquidateBorrow":
-            borrower = payload["borrower"]
+            borrower = event.payload["borrower"]
             start = open_streaks.pop(borrower, None)
             if start is None:
                 record = LiquidationRecord(
@@ -104,10 +103,7 @@ def track_efficiency(
                     seized_value_usd=_seized_value(state, event),
                     warning=NOT_LIQUIDABLE_WARNING,
                 )
-                timeline.warnings.append(
-                    f"event {event.key.block}:{event.key.tx_index}:{event.key.log_index}: "
-                    f"{NOT_LIQUIDABLE_WARNING}: {borrower}"
-                )
+                _warn(warnings, event, f"{NOT_LIQUIDABLE_WARNING}: {borrower}")
             else:
                 record = LiquidationRecord(
                     account=borrower,
@@ -131,6 +127,8 @@ def track_efficiency(
                 open_streaks[account] = event.key
             elif not underwater and account in open_streaks:
                 del open_streaks[account]  # recovered: closes without record
+
+    _fold(state, events, ReplayReport(warnings=timeline.warnings), observe)
 
     for account in sorted(open_streaks):
         timeline.streaks.append(Streak(account=account, start=open_streaks[account], end=None))
@@ -261,8 +259,9 @@ def _funds_row(state: GlobalState, block: int) -> FundsRow:
 
 def funds_time_series(
     state: GlobalState, events: Sequence[EventRecord], stride: int = 1
-) -> list[FundsRow]:
-    """Supplied / borrowed / locked USD sampled every ``stride`` blocks.
+) -> tuple[list[FundsRow], list[str]]:
+    """Supplied / borrowed / locked USD sampled every ``stride`` blocks,
+    with the engine's warnings.
 
     Samples start at the first event's block and always include the final
     block; each row values the state after all events with block <= the
@@ -271,19 +270,14 @@ def funds_time_series(
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not events:
-        return [FundsRow(0, ZERO, ZERO, ZERO)]
+        return [FundsRow(0, ZERO, ZERO, ZERO)], []
 
-    first = events[0].key.block
     last = events[-1].key.block
-    samples = list(range(first, last + 1, stride))
-    if samples[-1] != last:
-        samples.append(last)
-
+    report = ReplayReport()
     rows: list[FundsRow] = []
-    position = 0
-    for sample in samples:
-        while position < len(events) and events[position].key.block <= sample:
-            apply_event(state, events[position])
-            position += 1
+    for sample in [*range(events[0].key.block, last, stride), last]:
+        # Keys strictly increase, so blocks are sorted.
+        end = bisect_right(events, sample, lo=report.events_applied, key=lambda e: e.key.block)
+        _fold(state, events[report.events_applied : end], report)
         rows.append(_funds_row(state, sample))
-    return rows
+    return rows, report.warnings

@@ -238,11 +238,10 @@ def cmd_concentration(args: argparse.Namespace) -> int:
 
 
 def cmd_timeseries(args: argparse.Namespace) -> int:
-    _write_records(
-        args,
-        ("block", "supplied_usd", "borrowed_usd", "locked_usd"),
-        funds_time_series(GlobalState.fresh(), _read_stream(args.events), stride=args.stride),
-    )
+    rows, warnings = funds_time_series(GlobalState.fresh(), _read_stream(args.events), stride=args.stride)
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+    _write_records(args, ("block", "supplied_usd", "borrowed_usd", "locked_usd"), rows)
     return 0
 
 

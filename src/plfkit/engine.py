@@ -7,16 +7,16 @@ transition leaves the state untouched. Non-fatal oddities (mint/redeem
 amount drift, repay overshoot beyond dust, non-monotone indices in the
 input) surface as warning strings, never as silent repairs.
 
-This module is the one place that knows what an event writes: each
-transition reports the accounts whose positions it wrote and the market it
-re-priced, which analytics.track_efficiency reads to find dirty accounts.
+This module is the one place that knows what an event writes, and _fold
+is the one loop that applies a stream: it hands each event's written
+accounts and re-priced market to an optional observer (track_efficiency).
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .events import EventRecord, OrderingKey
 from .fixedpoint import SCALE, ZERO, Dec, DecOverflowError
@@ -45,7 +45,6 @@ class ReplayReport:
     """What a replay did: how far it got and what it grumbled about."""
 
     events_applied: int = 0
-    final_cursor: OrderingKey | None = None
     digest: str | None = None
     warnings: list[str] = field(default_factory=list)
 
@@ -302,6 +301,24 @@ def _transition(
     raise TransitionError(event.key, f"unhandled event kind {kind!r}")  # pragma: no cover
 
 
+def _fold(
+    state: GlobalState,
+    events: Iterable[EventRecord],
+    report: ReplayReport,
+    observe: Callable[[EventRecord, list[str], tuple[str, ...], str | None], None] | None = None,
+) -> None:
+    """Apply a stream in place, counting events and collecting warnings in
+    ``report``. ``observe`` sees each applied event with what _apply
+    reported, before the event's warnings join the report, so it may append
+    its own. A TransitionError propagates unwrapped."""
+    for event in events:
+        warnings, accounts, repriced = _apply(state, event)
+        if observe is not None:
+            observe(event, warnings, accounts, repriced)
+        report.warnings.extend(warnings)
+        report.events_applied += 1
+
+
 def replay(
     state: GlobalState, events: Iterable[EventRecord]
 ) -> tuple[GlobalState, ReplayReport]:
@@ -310,14 +327,11 @@ def replay(
     The first transition error aborts the fold and raises ReplayError with
     the partial-progress report attached.
     """
-    report = ReplayReport(final_cursor=state.cursor)
-    for event in events:
-        try:
-            report.warnings.extend(apply_event(state, event))
-        except TransitionError as exc:
-            report.digest = state_digest(state)
-            raise ReplayError(exc, report) from exc
-        report.events_applied += 1
-        report.final_cursor = state.cursor
-    report.digest = state_digest(state)
+    report = ReplayReport()
+    try:
+        _fold(state, events, report)
+    except TransitionError as exc:
+        raise ReplayError(exc, report) from exc
+    finally:
+        report.digest = state_digest(state)
     return state, report

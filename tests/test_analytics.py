@@ -244,7 +244,7 @@ class TestConcentration:
 
 class TestFundsTimeSeries:
     def test_hand_fixture_every_block(self):
-        rows = funds_time_series(GlobalState.fresh(), hand_fixture(), stride=1)
+        rows, _ = funds_time_series(GlobalState.fresh(), hand_fixture(), stride=1)
         expected = [
             (1, "0", "0"),
             (2, "5010", "0"),
@@ -265,14 +265,14 @@ class TestFundsTimeSeries:
             assert row.locked_usd == row.supplied_usd - row.borrowed_usd
 
     def test_stride_sampling_always_includes_last_block(self):
-        rows = funds_time_series(GlobalState.fresh(), hand_fixture(), stride=5)
+        rows, _ = funds_time_series(GlobalState.fresh(), hand_fixture(), stride=5)
         assert [r.block for r in rows] == [1, 6, 11, 13]
         assert rows[-1].locked_usd == Dec("2830.1")
 
     def test_no_events_yields_single_zero_row(self):
-        assert funds_time_series(GlobalState.fresh(), []) == [
+        assert funds_time_series(GlobalState.fresh(), []) == ([
             FundsRow(0, ZERO, ZERO, ZERO),
-        ]
+        ], [])
 
     def test_stride_validated(self):
         with pytest.raises(ValueError):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import plfkit
+from plfkit.analytics import funds_time_series, track_efficiency
 from plfkit.engine import (
     ReplayError,
     TransitionError,
@@ -43,7 +44,7 @@ class TestHandFixtureReplay:
         state, report = replay(GlobalState.fresh(), hand_fixture())
         assert report.events_applied == 20
         assert report.warnings == []
-        assert report.final_cursor == OrderingKey(13, 1, 0)
+        assert state.cursor == OrderingKey(13, 1, 0)
         assert report.digest == state_digest(state)
 
     def test_market_aggregates(self):
@@ -421,7 +422,7 @@ class TestReplay:
             replay(state, events)
         report = excinfo.value.report
         assert report.events_applied == 10
-        assert report.final_cursor == OrderingKey(4, 0, 0)
+        assert state.cursor == OrderingKey(4, 0, 0)
         assert report.digest == state_digest(state)
         assert isinstance(excinfo.value.cause, TransitionError)
 
@@ -484,6 +485,31 @@ def test_one_json_reader_in_package_source():
                         and {alias.name for alias in node.names} & {"load", "loads"}):
                     uses.append((path.stem, getattr(top, "name", None), node.lineno))
     assert [use[:2] for use in uses] == [("events", "_parse_json")], uses
+
+
+def test_one_event_fold_in_package_source():
+    """engine._fold is the only loop that applies events: _apply is called
+    only there and in apply_event, and no package code calls apply_event."""
+    callers = {"_apply": set(), "apply_event": set()}
+    for path in sorted(Path(plfkit.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name in callers:
+                        callers[name].add((path.stem, getattr(top, "name", None)))
+    assert callers == {"_apply": {("engine", "apply_event"), ("engine", "_fold")}, "apply_event": set()}
+
+
+def test_analytics_folds_take_no_digest(monkeypatch):
+    def refuse(state):
+        raise AssertionError("state_digest called")
+
+    monkeypatch.setattr(plfkit.engine, "state_digest", refuse)
+    assert len(track_efficiency(GlobalState.fresh(), hand_fixture()).liquidations) == 1
+    rows, warnings = funds_time_series(GlobalState.fresh(), hand_fixture())
+    assert (len(rows), warnings) == (13, [])
 
 
 # -- Random streams with injected bad events ------------------------------------

@@ -272,12 +272,12 @@ def funds_time_series(
     if not events:
         return [FundsRow(0, ZERO, ZERO, ZERO)], []
 
-    last = events[-1].key.block
+    # Keys strictly increase, so blocks are sorted.
+    blocks = [e.key.block for e in events]
     report = ReplayReport()
     rows: list[FundsRow] = []
-    for sample in [*range(events[0].key.block, last, stride), last]:
-        # Keys strictly increase, so blocks are sorted.
-        end = bisect_right(events, sample, lo=report.events_applied, key=lambda e: e.key.block)
+    for sample in [*range(blocks[0], blocks[-1], stride), blocks[-1]]:
+        end = bisect_right(blocks, sample, report.events_applied)
         _fold(state, events[report.events_applied : end], report)
         rows.append(_funds_row(state, sample))
     return rows, report.warnings

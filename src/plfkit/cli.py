@@ -123,11 +123,15 @@ def _load_snapshot(path: str) -> GlobalState:
         raise CliError(f"cannot load snapshot {path}: {exc}") from None
 
 
+def _print_warnings(warnings: Iterable[str]) -> None:
+    for warning in warnings:
+        print(f"warning: {warning}", file=sys.stderr)
+
+
 def _replay(state: GlobalState, events: list[EventRecord]) -> tuple[GlobalState, ReplayReport]:
     """replay, with its warnings printed on stderr."""
     state, report = replay(state, events)
-    for warning in report.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_warnings(report.warnings)
     return state, report
 
 
@@ -220,8 +224,7 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 def cmd_efficiency(args: argparse.Namespace) -> int:
     events = _read_stream(args.events, args.at_block)
     timeline = track_efficiency(GlobalState.fresh(), events, full_reeval=args.full_reeval)
-    for warning in timeline.warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_warnings(timeline.warnings)
     _write_records(args, ("blocks", "cumulative_fraction"), efficiency_cdf(timeline, weighting=args.weighting))
     return 0
 
@@ -239,8 +242,7 @@ def cmd_concentration(args: argparse.Namespace) -> int:
 
 def cmd_timeseries(args: argparse.Namespace) -> int:
     rows, warnings = funds_time_series(GlobalState.fresh(), _read_stream(args.events), stride=args.stride)
-    for warning in warnings:
-        print(f"warning: {warning}", file=sys.stderr)
+    _print_warnings(warnings)
     _write_records(args, ("block", "supplied_usd", "borrowed_usd", "locked_usd"), rows)
     return 0
 

@@ -4,6 +4,11 @@ One event per line, flat JSON objects. Amounts, rates and factors are
 decimal strings (see :mod:`plfkit.fixedpoint`); ordering is the triple
 (block, tx_index, log_index) and must be strictly increasing within a
 stream.
+
+This module is also the package's JSON codec: the one reader
+(``_parse_json``), the one canonical writer (``_encode_canonical``), and
+the dataclass walkers (``_encode_value`` and ``_decode_value``) behind
+every document format.
 """
 
 from __future__ import annotations
@@ -17,23 +22,6 @@ from types import UnionType
 from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
 
 from .fixedpoint import SCALE, Dec
-
-KINDS = frozenset(
-    {
-        "MarketListed",
-        "Mint",
-        "Redeem",
-        "Borrow",
-        "RepayBorrow",
-        "LiquidateBorrow",
-        "AccrueInterest",
-        "NewCollateralFactor",
-        "NewInterestRateModel",
-        "NewInterestParams",
-        "NewCloseFactor",
-        "PriceUpdate",
-    }
-)
 
 _ADDRESS = re.compile("0x[0-9a-f]{40}")
 
@@ -237,6 +225,8 @@ _SCHEMAS: dict[str, tuple[str | None, tuple[tuple[str, Any], ...]]] = {
     ),
 }
 
+KINDS = frozenset(_SCHEMAS)
+
 _KEY_FIELDS = ("block", "tx_index", "log_index")
 
 # The decoder's table: each kind's schema plus every key its lines must
@@ -321,6 +311,15 @@ def _parse_json(text: str | bytes) -> Any:
         raise ValueError(exc.msg) from None
     except (ValueError, RecursionError) as exc:  # UnicodeDecodeError is a ValueError
         raise ValueError(str(exc)) from None
+
+
+def _encode_canonical(data: Any) -> bytes:
+    """Canonical JSON bytes of plain data: sorted keys, compact, ASCII.
+
+    The package's only JSON writer of digested or stored bytes: state
+    digests, snapshots, annotations and event lines.
+    """
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
 
 
 _scan_once = json.JSONDecoder().scan_once
@@ -418,7 +417,7 @@ def event_to_obj(event: EventRecord) -> dict[str, Any]:
 
 def serialize_event(event: EventRecord) -> str:
     """Canonical single-line JSON for an event (sorted keys, compact)."""
-    return json.dumps(event_to_obj(event), sort_keys=True, separators=(",", ":"))
+    return _encode_canonical(event_to_obj(event)).decode("ascii")
 
 
 def iter_events(path: str) -> Iterator[EventRecord]:

@@ -11,11 +11,10 @@ borrower (interest accrues lazily per position, truncating).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Any
 
-from .events import OrderingKey
+from .events import OrderingKey, _encode_canonical
 from .fixedpoint import ONE, ZERO, Dec, dec_muldiv
 
 
@@ -256,12 +255,7 @@ def state_from_dict(data: dict[str, Any]) -> GlobalState:
 
 def canonical_json_bytes(state: GlobalState) -> bytes:
     """Byte-deterministic serialization: sorted keys, compact, ASCII."""
-    return encode_canonical(state_to_dict(state))
-
-
-def encode_canonical(data: Any) -> bytes:
-    """Canonical JSON bytes of plain data: sorted keys, compact, ASCII."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+    return _encode_canonical(state_to_dict(state))
 
 
 # -- Aggregate validation ----------------------------------------------------

@@ -31,12 +31,12 @@ from .events import (
     _dec_nonneg,
     _dec_positive,
     _decode_value,
+    _encode_canonical,
     _encode_value,
     is_valid_address,
     write_events,
 )
 from .fixedpoint import ONE, ZERO, Dec, checked, dec_muldiv, trunc_mul, trunc_muldiv
-from .model import encode_canonical
 
 ANNOTATION_FORMAT_VERSION = 1
 
@@ -1005,7 +1005,7 @@ def generate(spec: ScenarioSpec, events_path: str, annotations_path: str) -> Gen
         **ground_truth_to_dict(truth),
     }
     with open(annotations_path, "wb") as handle:
-        handle.write(encode_canonical(annotation))
+        handle.write(_encode_canonical(annotation))
     return GeneratedScenario(
         events_path=events_path,
         annotations_path=annotations_path,

@@ -12,8 +12,8 @@ import hashlib
 from dataclasses import asdict, dataclass
 
 from .engine import state_digest
-from .events import OrderingKey, _parse_json
-from .model import GlobalState, encode_canonical, state_from_dict, state_to_dict
+from .events import OrderingKey, _encode_canonical, _parse_json
+from .model import GlobalState, state_from_dict, state_to_dict
 
 FORMAT_VERSION = 1
 
@@ -49,7 +49,7 @@ def save_snapshot(state: GlobalState, path: str) -> SnapshotMeta:
     data = state_to_dict(state)
     # The digest of the dict form is state_digest(state), without building
     # that form a second time.
-    digest = hashlib.sha256(encode_canonical(data)).hexdigest()
+    digest = hashlib.sha256(_encode_canonical(data)).hexdigest()
     document = {
         "format_version": FORMAT_VERSION,
         "cursor": data["cursor"],
@@ -57,7 +57,7 @@ def save_snapshot(state: GlobalState, path: str) -> SnapshotMeta:
         "state": data,
     }
     with open(path, "wb") as handle:
-        handle.write(encode_canonical(document))
+        handle.write(_encode_canonical(document))
     return SnapshotMeta(format_version=FORMAT_VERSION, cursor=state.cursor, digest=digest)
 
 
@@ -100,7 +100,7 @@ def read_snapshot(path: str) -> tuple[GlobalState, SnapshotMeta]:
     cursor = None if state.cursor is None else asdict(state.cursor)
     header = document.get("cursor", "(missing)")
     # Compared as JSON text: 13.0 and true are not the integers 13 and 1.
-    if encode_canonical(header) != encode_canonical(cursor):
+    if _encode_canonical(header) != _encode_canonical(cursor):
         raise SnapshotError(f"snapshot header cursor {header!r} does not match the state's cursor {cursor!r}")
     return state, SnapshotMeta(format_version=FORMAT_VERSION, cursor=state.cursor, digest=actual)
 

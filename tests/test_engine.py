@@ -487,6 +487,42 @@ def test_one_json_reader_in_package_source():
     assert [use[:2] for use in uses] == [("events", "_parse_json")], uses
 
 
+def test_one_canonical_json_writer_in_package_source():
+    """events._encode_canonical writes every digested or stored document;
+    the only other JSON writer is cli._write_rows's indented table."""
+    uses = []
+    for path in sorted(Path(plfkit.__file__).parent.rglob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                        and node.value.id == "json" and node.attr in ("dump", "dumps")) or (
+                        isinstance(node, ast.ImportFrom) and node.module == "json"
+                        and {alias.name for alias in node.names} & {"dump", "dumps"}):
+                    uses.append((path.stem, getattr(top, "name", None), node.lineno))
+    assert [use[:2] for use in uses] == [("cli", "_write_rows"), ("events", "_encode_canonical")], uses
+
+
+def test_importing_a_module_loads_only_its_dependencies():
+    """The package re-exports nothing, so importing one module does not
+    load the generator, the oracle or the analytics."""
+    code = (
+        "import sys\n"
+        "sys.path[:0] = [sys.argv[1]]\n"
+        "def loaded(name):\n"
+        "    __import__('plfkit.' + name)\n"
+        "    print(' '.join(sorted(m for m in sys.modules if m.startswith('plfkit.'))))\n"
+        "loaded('fixedpoint')\n"
+        "loaded('engine')\n"
+    )
+    src = os.path.dirname(os.path.dirname(plfkit.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == [
+        "plfkit.fixedpoint",
+        "plfkit.engine plfkit.events plfkit.fixedpoint plfkit.model",
+    ]
+
+
 def test_one_event_fold_in_package_source():
     """engine._fold is the only loop that applies events: _apply is called
     only there and in apply_event, and no package code calls apply_event."""

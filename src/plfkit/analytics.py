@@ -4,9 +4,13 @@ track_efficiency observes engine._fold, the one event loop, timing how long
 positions stay liquidable before someone liquidates them. Only the
 accounts the engine reports an event changed are re-evaluated: those whose
 positions it wrote, and the holders of the market it re-priced. They are
-valued through risk.LiquidableCache: one re-priced term per changed
-(account, market), with each account's sums re-added in holdings order, so
-the sign and every failure are exactly those of a full valuation. Full
+valued through risk.LiquidableCache. A written account is valued in full,
+one re-priced term per changed (account, market) with its sums re-added in
+holdings order. A holder of the re-priced market, for which engine._apply's
+report says nothing else changed, goes through LiquidableCache.repriced:
+that market's term alone is re-priced, and the sign is read from the moved
+sums where they prove every check of a full valuation passes. So the sign
+and every failure are exactly those of a full valuation. Full
 re-evaluation values every account with account_health after every event,
 without the cache: it is the uncached cross-check (the oracle-test mode).
 funds_time_series folds the stream up to each sample block and values it.
@@ -22,7 +26,7 @@ from .engine import ReplayReport, _fold, _warn
 from .events import EventRecord, OrderingKey
 from .fixedpoint import ZERO, Dec
 from .model import GlobalState
-from .risk import LiquidableCache, account_health
+from .risk import LiquidableCache, _sums, account_health
 
 NOT_LIQUIDABLE_WARNING = "not-liquidable-at-engine-precision"
 
@@ -78,11 +82,12 @@ def track_efficiency(
     """
     timeline = EfficiencyTimeline()
     open_streaks: dict[str, OrderingKey] = {}
+    cache = LiquidableCache(state)
     if full_reeval:
         def liquidable(account: str) -> bool:
             return account_health(state, account).liquidable
     else:
-        liquidable = LiquidableCache(state).liquidable
+        liquidable = cache.liquidable
 
     for account in state.participants:
         if liquidable(account):
@@ -114,15 +119,14 @@ def track_efficiency(
                 timeline.streaks.append(Streak(account=borrower, start=start, end=event.key))
             timeline.liquidations.append(record)
 
-        if full_reeval:
-            dirty = set(state.participants)
-        else:
-            dirty = set(accounts)
-            if repriced is not None:
-                dirty.update(name for name, holdings in state.participants.items() if repriced in holdings)
+        written = set(state.participants) if full_reeval else set(accounts)
+        members = set()
+        if repriced is not None and not full_reeval:
+            # Nothing but the re-priced market changed for its other holders.
+            members = {name for name, holdings in state.participants.items() if repriced in holdings} - written
 
-        for account in sorted(dirty):
-            underwater = liquidable(account)
+        for account in sorted(written | members):
+            underwater = cache.repriced(account, repriced) if account in members else liquidable(account)
             if underwater and account not in open_streaks:
                 open_streaks[account] = event.key
             elif not underwater and account in open_streaks:
@@ -193,17 +197,21 @@ class ConcentrationReport:
 def concentration(
     state: GlobalState, side: Literal["supply", "borrow"], top_n: int
 ) -> ConcentrationReport:
-    """Rank accounts by USD value on one side of the book."""
+    """Rank accounts by USD value on one side of the book.
+
+    Each account's side is its collateral or borrow sum from the valuation
+    kernel, with the kernel's truncation and carrier checks; no health
+    record and no ratio are computed, so neither can fail here.
+    """
     if side not in ("supply", "borrow"):
         raise ValueError("side must be 'supply' or 'borrow'")
     if top_n < 1:
         raise ValueError("top_n must be at least 1")
 
     values: list[tuple[str, Dec]] = []
-    for account in sorted(state.participants):
-        health = account_health(state, account)
-        value = health.collateral_value_usd if side == "supply" else health.borrow_value_usd
-        values.append((account, value))
+    for account, holdings in sorted(state.participants.items()):
+        _, borrow, collateral, _, _ = _sums(state.markets, holdings, state.price_table.prices)
+        values.append((account, Dec.from_mantissa(collateral if side == "supply" else borrow)))
     # Descending by value; address breaks ties for a stable ranking.
     values.sort(key=lambda item: (-item[1].mantissa, item[0]))
 

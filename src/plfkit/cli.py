@@ -9,7 +9,10 @@ and replay warnings go to standard error; only the requested table goes to
 the chosen output.
 
 Exit codes: 0 success, 1 domain or evaluation error, 2 usage error. main()
-alone turns a library error into its one ``error: ...`` line.
+alone turns a library error into its one ``error: ...`` line, so the
+modules whose errors it catches (engine, events, fixedpoint, model,
+snapshots) are imported here; each command imports the analytics, risk,
+leverage or generator code it calls, so a command loads only what it runs.
 """
 
 from __future__ import annotations
@@ -23,19 +26,10 @@ from bisect import bisect_right
 from typing import Any, Iterable, Sequence
 
 from . import __version__
-from .analytics import concentration, efficiency_cdf, funds_time_series, track_efficiency
 from .engine import ReplayError, ReplayReport, TransitionError, replay
 from .events import EventParseError, EventRecord, StreamOrderError, _parse_json, read_events
 from .fixedpoint import ONE, ZERO, Dec, DecOverflowError, DecParseError
-from .leverage import quote
 from .model import GlobalState, MissingPriceError
-from .risk import liquidable_accounts, price_sensitivity
-from .scenarios import (
-    GenerationError,
-    default_spec,
-    generate,
-    spec_from_dict,
-)
 from .snapshots import SnapshotError, load_snapshot, read_snapshot, save_snapshot, verify_snapshot
 
 
@@ -195,6 +189,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
 
 
 def cmd_liquidable(args: argparse.Namespace) -> int:
+    from .risk import liquidable_accounts
+
     unhealthy = liquidable_accounts(_state_from_args(args))
     columns = (
         "account",
@@ -210,6 +206,8 @@ def cmd_liquidable(args: argparse.Namespace) -> int:
 
 
 def cmd_sensitivity(args: argparse.Namespace) -> int:
+    from .risk import price_sensitivity
+
     state = _state_from_args(args)
     if args.asset not in state.markets:
         raise CliError(f"no market listed for asset {args.asset!r}")
@@ -222,6 +220,8 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 
 
 def cmd_efficiency(args: argparse.Namespace) -> int:
+    from .analytics import efficiency_cdf, track_efficiency
+
     events = _read_stream(args.events, args.at_block)
     timeline = track_efficiency(GlobalState.fresh(), events, full_reeval=args.full_reeval)
     _print_warnings(timeline.warnings)
@@ -230,6 +230,8 @@ def cmd_efficiency(args: argparse.Namespace) -> int:
 
 
 def cmd_concentration(args: argparse.Namespace) -> int:
+    from .analytics import concentration
+
     report = concentration(_state_from_args(args), args.side, args.top)
     print(
         f"side={report.side} total_usd={report.total_usd} "
@@ -241,6 +243,8 @@ def cmd_concentration(args: argparse.Namespace) -> int:
 
 
 def cmd_timeseries(args: argparse.Namespace) -> int:
+    from .analytics import funds_time_series
+
     rows, warnings = funds_time_series(GlobalState.fresh(), _read_stream(args.events), stride=args.stride)
     _print_warnings(warnings)
     _write_records(args, ("block", "supplied_usd", "borrowed_usd", "locked_usd"), rows)
@@ -248,6 +252,8 @@ def cmd_timeseries(args: argparse.Namespace) -> int:
 
 
 def cmd_leverage(args: argparse.Namespace) -> int:
+    from .leverage import quote
+
     _write_records(
         args,
         ("alpha", "delta", "rounds", "premium", "total_collateral", "total_debt", "max_exposure"),
@@ -257,6 +263,8 @@ def cmd_leverage(args: argparse.Namespace) -> int:
 
 
 def cmd_gen_scenario(args: argparse.Namespace) -> int:
+    from .scenarios import GenerationError, default_spec, generate, spec_from_dict
+
     if args.spec:
         try:
             with open(args.spec, "r", encoding="utf-8") as handle:

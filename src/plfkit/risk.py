@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .fixedpoint import ONE, SCALE, ZERO, Dec, DecOverflowError, checked, trunc_div, trunc_mul
+from .fixedpoint import (
+    MANTISSA_BOUND, ONE, SCALE, ZERO, Dec, DecOverflowError, checked, trunc_div, trunc_mul, trunc_muldiv,
+)
 from .model import GlobalState, MarketState, MissingPriceError, Position
 
 
@@ -40,10 +42,13 @@ def _terms(position: Position, market: MarketState) -> tuple[int, int, int]:
     """One position's unpriced terms as mantissas: ctokens * rate, that
     times the collateral factor, and the accrued borrow."""
     base = trunc_mul(position.ctoken_balance.mantissa, market.exchange_rate.mantissa)
+    principal = position.borrow_principal.mantissa
     return (
         base,
         trunc_mul(base, market.collateral_factor.mantissa),
-        position.accrued_borrow(market.borrow_index).mantissa,
+        # Position.accrued_borrow on mantissas: no division without a debt.
+        trunc_muldiv(principal, market.borrow_index.mantissa, position.borrow_index_snapshot.mantissa)
+        if principal else 0,
     )
 
 
@@ -51,7 +56,13 @@ def _priced(terms: tuple[int, int, int], price: int) -> tuple[int, int, int]:
     """Collateral value, collateral power and borrow value of one
     position's terms at ``price`` (a mantissa)."""
     base, power_base, accrued = terms
-    return trunc_mul(base, price), trunc_mul(power_base, price), trunc_mul(accrued, price)
+    # A zero term prices to zero (power_base is zero with base): a supplier
+    # or a borrower alone costs one or two products, not three.
+    return (
+        trunc_mul(base, price) if base else 0,
+        trunc_mul(power_base, price) if base else 0,
+        trunc_mul(accrued, price) if accrued else 0,
+    )
 
 
 def _sums(
@@ -145,18 +156,30 @@ class LiquidableCache:
     of its last valuation beside the seven values they came from: the
     position's cToken balance, borrow principal and index snapshot, the
     market's exchange rate, collateral factor and borrow index, and the
-    price. A product is reused only while all seven are the same objects
-    or equal, so the answer stays exact whatever changed the state: an
-    event, a direct mutation or a replaced position. Sums are re-added in
-    holdings order with the carrier check at every partial sum, and the
-    ratio account_health computes is checked too, so a valuation fails
-    exactly where account_health fails. Entries are bounded by accounts
-    times markets.
+    price. ``liquidable`` reuses a product only while all seven are the
+    same objects or equal, so the answer stays exact whatever changed the
+    state: an event, a direct mutation or a replaced position. Sums are
+    re-added in holdings order with the carrier check at every partial
+    sum, and the ratio account_health computes is checked too, so a
+    valuation fails exactly where account_health fails. Entries are
+    bounded by accounts times markets.
+
+    ``repriced`` is the path for a caller that knows which one market
+    changed since an account's last valuation, as track_efficiency knows
+    from engine._apply's report. It re-prices that market's term alone and
+    moves the cached sums by its change, deciding the sign only where that
+    provably gives what ``liquidable`` would; elsewhere it calls
+    ``liquidable``.
     """
 
     def __init__(self, state: GlobalState):
         self._state = state
-        self._products: dict[str, dict[str, tuple[tuple, tuple[int, int, int]]]] = {}
+        # account -> market -> (the seven inputs, (collateral, power, borrow)
+        # products, the unpriced terms of _terms)
+        self._products: dict[str, dict[str, tuple[tuple, tuple[int, int, int], tuple[int, int, int]]]] = {}
+        # account -> (power, borrow, collateral) of its last valuation, kept
+        # only when that succeeded with no negative term
+        self._sums: dict[str, tuple[int, int, int]] = {}
 
     def liquidable(self, account: str) -> bool:
         state = self._state
@@ -167,7 +190,9 @@ class LiquidableCache:
         cached = self._products.get(account)
         if cached is None:
             cached = self._products[account] = {}
+        self._sums.pop(account, None)
         power = borrow = collateral = 0
+        signed = False
         for symbol, position in holdings.items():
             ctokens, principal = position.ctoken_balance, position.borrow_principal
             if not ctokens.mantissa and not principal.mantissa:
@@ -182,17 +207,79 @@ class LiquidableCache:
             )
             entry = cached.get(symbol)
             if entry is None or entry[0] != inputs:
-                entry = cached[symbol] = inputs, _priced(_terms(position, market), price.mantissa)
+                terms = _terms(position, market)
+                entry = cached[symbol] = inputs, _priced(terms, price.mantissa), terms
             collateral_term, power_term, borrow_term = entry[1]
             collateral = checked(collateral + collateral_term)
             power = checked(power + power_term)
             borrow = checked(borrow + borrow_term)
+            if collateral_term < 0 or power_term < 0 or borrow_term < 0:
+                signed = True
         surplus = checked(power - borrow)
         # account_health's ratio power / borrow must fit the carrier too. As
         # |power| is below the bound, it can only overflow when |borrow| < 1.
         if borrow and -SCALE < borrow < SCALE:
             trunc_div(power, borrow)
+        if not signed:
+            self._sums[account] = power, borrow, collateral
         return surplus < 0
+
+    def repriced(self, account: str, symbol: str) -> bool:
+        """``liquidable(account)``, for a caller that knows that since the
+        account's last valuation here no input changed but market
+        ``symbol``'s exchange rate, collateral factor, borrow index or price.
+
+        The symbol's term is re-priced exactly as ``liquidable`` prices it,
+        and the cached sums move by its change. Those are the sums
+        ``liquidable`` would add up, so its sign is theirs wherever no check
+        of its can fail, and that is proven here from the totals: products
+        are carrier-checked as they are computed; with every term
+        non-negative, each partial sum lies between 0 and its total, so
+        totals below the bound keep every partial sum and the surplus
+        inside the carrier; and the ratio needs no check while the borrow
+        value is 0 or at least 1. A term that fails, a negative term, a
+        total at the bound, a borrow value in (0, 1), a missing price or no
+        sums from the last valuation leave the decision to ``liquidable``,
+        which then fails where account_health fails.
+        """
+        sums = self._sums.get(account)
+        if sums is None:
+            return self.liquidable(account)
+        power, borrow, collateral = sums
+        state = self._state
+        position = state.participants[account][symbol]
+        ctokens, principal = position.ctoken_balance, position.borrow_principal
+        if not ctokens.mantissa and not principal.mantissa:
+            return power < borrow  # the position adds nothing, price or not
+        market = state.markets[symbol]
+        price = state.price_table.prices.get(symbol)
+        cached = self._products[account]
+        entry = cached.get(symbol)
+        if price is None or entry is None:
+            return self.liquidable(account)
+        old_inputs, (old_collateral, old_power, old_borrow), terms = entry
+        rate, factor, index = market.exchange_rate, market.collateral_factor, market.borrow_index
+        try:
+            # The position is as it was; the unpriced terms stand while the
+            # market's three inputs are the same objects (a PriceUpdate).
+            if old_inputs[3] is not rate or old_inputs[4] is not factor or old_inputs[5] is not index:
+                terms = _terms(position, market)
+            products = _priced(terms, price.mantissa)
+        except ArithmeticError:
+            return self.liquidable(account)
+        collateral_term, power_term, borrow_term = products
+        power += power_term - old_power
+        borrow += borrow_term - old_borrow
+        collateral += collateral_term - old_collateral
+        if (
+            collateral_term < 0 or power_term < 0 or borrow_term < 0
+            or power >= MANTISSA_BOUND or borrow >= MANTISSA_BOUND or collateral >= MANTISSA_BOUND
+            or 0 < borrow < SCALE
+        ):
+            return self.liquidable(account)
+        cached[symbol] = old_inputs[:3] + (rate, factor, index, price), products, terms
+        self._sums[account] = power, borrow, collateral
+        return power < borrow
 
 
 def liquidable_accounts(state: GlobalState) -> dict[str, AccountHealth]:

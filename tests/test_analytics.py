@@ -20,9 +20,9 @@ from plfkit.analytics import (
 from plfkit.cli import main
 from plfkit.engine import TransitionError, apply_event, replay
 from plfkit.events import EventRecord, OrderingKey, read_events, write_events
-from plfkit.fixedpoint import MANTISSA_BOUND, ONE, ZERO, Dec, DecOverflowError
+from plfkit.fixedpoint import MANTISSA_BOUND, ONE, SCALE, ZERO, Dec, DecOverflowError
 from plfkit.model import GlobalState, MarketState, MissingPriceError, Position, ProtocolParams
-from plfkit.risk import LiquidableCache, account_health
+from plfkit.risk import LiquidableCache, _sums, account_health
 from plfkit.scenarios import default_spec, generate
 from streams import (
     ACCT_A,
@@ -235,6 +235,14 @@ class TestConcentration:
         assert report.total_usd == ZERO
         assert all(r.share == ZERO for r in report.rows)
 
+    @pytest.mark.parametrize("side,value", [("supply", Dec(10 ** 50)), ("borrow", Dec.from_mantissa(1))])
+    def test_ranks_a_book_whose_ratio_overflows(self, side, value):
+        # Power 10^50 against a debt of 10^-18: the health ratio leaves the
+        # carrier, but concentration prints no ratio, as sensitivity does not.
+        report = concentration(failing_book(("DAI", 10 ** 68, 1, UNIT, UNIT)), side, top_n=1)
+        assert [(r.account, r.value_usd, r.share) for r in report.rows] == [(ACCT_A, value, ONE)]
+        assert report.total_usd == value
+
     def test_argument_validation(self):
         with pytest.raises(ValueError):
             concentration(ranked_state(), "debt", 1)
@@ -381,6 +389,29 @@ def outcome(fn, *args):
         return type(exc).__name__, str(exc)
 
 
+def failure_site(track, state, events):
+    """outcome(track, state, events), with the accounts whose valuation
+    raised: the first failing account when a valuation failed, since the
+    failure ends the fold. Valuations are LiquidableCache.liquidable and
+    .repriced for track_efficiency and account_health for the reference."""
+    failed = set()
+
+    def recording(value):
+        def valued(first, account, *rest):
+            try:
+                return value(first, account, *rest)
+            except (MissingPriceError, DecOverflowError):
+                failed.add(account)
+                raise
+        return valued
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("liquidable", "repriced"):
+            patch.setattr(LiquidableCache, name, recording(getattr(LiquidableCache, name)))
+        patch.setitem(globals(), "account_health", recording(account_health))
+        return outcome(track, state, events), failed
+
+
 # -- Random books, events and direct writes --------------------------------------
 
 SYMBOLS = ("AAA", "BBB", "CCC")
@@ -480,14 +511,22 @@ def draw_event(data, state: GlobalState, block: int) -> EventRecord:
     return make_event(block, 0, 0, kind, symbol, **payload)
 
 
-def draw_events(data, state: GlobalState, count: int) -> list[EventRecord]:
+def draw_events(data, state: GlobalState, count: int, edges: bool = False) -> list[EventRecord]:
     """``count`` events following ``state``'s cursor, each drawn against
-    the state the ones before it leave (``state`` itself is untouched)."""
+    the state the ones before it leave (``state`` itself is untouched).
+    With ``edges``, about half are re-pricing events at the edges of the
+    cached valuation (draw_edge_event)."""
     sim = state.copy()
     first = 1 if sim.cursor is None else sim.cursor.block + 1
     events = []
     for block in range(first, first + count):
-        event = draw_event(data, sim, block)
+        try:
+            if edges and data.draw(st.booleans()):
+                event = draw_edge_event(data, sim, block)
+            else:
+                event = draw_event(data, sim, block)
+        except DecOverflowError:
+            continue  # values near the carrier: no ordinary event can be drawn against them
         events.append(event)
         try:
             apply_event(sim, event)
@@ -572,10 +611,76 @@ def draw_write(data, state: GlobalState, extreme: bool = False):
     return write
 
 
+def flip_price(state: GlobalState, account: str, symbol: str) -> int | None:
+    """About the price mantissa of ``symbol`` at which ``account``'s
+    surplus changes sign, or None where it has none."""
+    try:
+        power, borrow, _, terms, missing = _sums(
+            state.markets, state.participants[account], state.price_table.prices, symbol
+        )
+    except (MissingPriceError, DecOverflowError):
+        return None
+    if terms is None or missing is not None or terms[1] == terms[2]:
+        return None
+    price = (borrow - power) * SCALE // (terms[1] - terms[2])
+    return price if price > 0 else None
+
+
+EDGES = ("flip-price", "index-step", "zero-factor", "near-carrier")
+
+
+def draw_edge_event(data, state: GlobalState, block: int) -> EventRecord:
+    """A re-pricing event at an edge of the cached valuation: a price within
+    a few mantissa units of a holder's flip price, a borrow index one unit
+    up, a collateral factor of 0, or an input near the carrier."""
+    edge = data.draw(st.sampled_from(EDGES))
+    symbol = data.draw(st.sampled_from(sorted(state.markets)))
+    market = state.markets[symbol]
+    if edge == "flip-price":
+        flips = [
+            price for account, holdings in sorted(state.participants.items())
+            if symbol in holdings and (price := flip_price(state, account, symbol)) is not None
+        ]
+        if flips:
+            price = data.draw(st.sampled_from(flips)) + data.draw(st.integers(-4, 4))
+            return make_event(block, 0, 0, "PriceUpdate", symbol, price_usd=Dec.from_mantissa(max(price, 1)))
+        edge = "index-step"
+    if edge == "index-step":
+        return make_event(
+            block, 0, 0, "AccrueInterest", symbol,
+            new_borrow_index=Dec.from_mantissa(market.borrow_index.mantissa + 1),
+            new_exchange_rate=Dec.from_mantissa(market.exchange_rate.mantissa + data.draw(st.integers(0, 1))),
+            interest_accumulated_underlying=ZERO,
+        )
+    if edge == "zero-factor":
+        return make_event(block, 0, 0, "NewCollateralFactor", symbol, new_factor=ZERO)
+    huge = Dec.from_mantissa(data.draw(st.integers(66, 76).flatmap(
+        lambda exponent: st.integers(10 ** exponent, min(10 ** (exponent + 1), MANTISSA_BOUND - 1))
+    )))
+    kind = data.draw(st.sampled_from(("PriceUpdate", "index", "rate", "NewCollateralFactor")))
+    if kind == "PriceUpdate":
+        return make_event(block, 0, 0, kind, symbol, price_usd=huge)
+    if kind == "NewCollateralFactor":
+        return make_event(block, 0, 0, kind, symbol, new_factor=huge)
+    return make_event(
+        block, 0, 0, "AccrueInterest", symbol,
+        new_borrow_index=huge if kind == "index" else market.borrow_index,
+        new_exchange_rate=huge if kind == "rate" else market.exchange_rate,
+        interest_accumulated_underlying=ZERO,
+    )
+
+
 def generated_stream(seed: int, event_count: int, accounts: int) -> list[EventRecord]:
     with tempfile.TemporaryDirectory() as tmp:
         generate(default_spec(seed, event_count, accounts), f"{tmp}/s.jsonl", f"{tmp}/s.json")
         return read_events(f"{tmp}/s.jsonl")
+
+
+def negative_rate(state: GlobalState, symbol: str) -> GlobalState:
+    """``state`` with ``symbol``'s exchange rate at -1, which no parsed event
+    sets: its collateral terms turn negative."""
+    state.markets[symbol].exchange_rate = Dec(-1)
+    return state
 
 
 def failing_book(*holdings: tuple[str, int, int, int, int | None]) -> GlobalState:
@@ -625,6 +730,37 @@ class TestLiquidableCacheFailures:
         assert outcome(track_efficiency, state.copy(), events) == outcome(
             reference_track_efficiency, state.copy(), events
         )
+
+    @pytest.mark.parametrize("state,events", [
+        # A debt re-priced to 10^-18 against power 10^50: only the ratio
+        # overflows.
+        (failing_book(("DAI", 10 ** 68, 0, UNIT, UNIT), ("ETH", 0, UNIT, UNIT, UNIT)),
+         [make_event(1, 0, 0, "PriceUpdate", "ETH", price_usd=Dec.from_mantissa(1))]),
+        # Each collateral term re-priced to 0.52 of the carrier: their sum
+        # leaves it, each product fits.
+        (failing_book(("DAI", 3 * 10 ** 76, 0, UNIT // 10, UNIT),
+                      ("ETH", 3 * 10 ** 76, 0, UNIT // 10, UNIT // 1000)),
+         [make_event(1, 0, 0, "PriceUpdate", "ETH", price_usd=ONE)]),
+        # Collateral terms 0.6, 0.6 and -0.52 of the carrier in holdings
+        # order: the total fits, the second partial sum does not.
+        (negative_rate(failing_book(("X", 35 * 10 ** 75, 0, UNIT // 10, UNIT),
+                                    ("M", 35 * 10 ** 75, 0, UNIT // 10, UNIT // 1000),
+                                    ("Y", 3 * 10 ** 76, 0, UNIT // 10, UNIT)), "Y"),
+         [make_event(1, 0, 0, "PriceUpdate", "M", price_usd=ONE)]),
+        # The same, with the negative term made by a re-pricing event.
+        (failing_book(("X", 35 * 10 ** 75, 0, UNIT // 10, UNIT),
+                      ("N", 35 * 10 ** 75, 0, UNIT // 10, UNIT // 1000),
+                      ("M", 3 * 10 ** 73, 0, UNIT // 10, UNIT)),
+         [make_event(1, 0, 0, "AccrueInterest", "M", new_borrow_index=ONE, new_exchange_rate=Dec(-1000),
+                     interest_accumulated_underlying=ZERO),
+          make_event(2, 0, 0, "PriceUpdate", "N", price_usd=ONE)]),
+    ], ids=["ratio", "collateral-sum", "partial-sum-past-negative-term", "negative-term-from-an-event"])
+    def test_repriced_holder_fails_like_the_reference(self, state, events):
+        # The book values without failure; the re-pricing makes it fail.
+        assert outcome(account_health, state, ACCT_A)[0] == "ok"
+        expected = failure_site(reference_track_efficiency, state.copy(), events)
+        assert expected == (("DecOverflowError", "mantissa exceeds the signed 256-bit carrier"), {ACCT_A})
+        assert failure_site(track_efficiency, state.copy(), events) == expected
 
 
 class TestCachedValuationAgainstReference:
@@ -686,6 +822,29 @@ class TestCachedValuationAgainstReference:
                     lambda name: account_health(book, name).liquidable, account
                 )
 
+    @settings(max_examples=300, deadline=None)
+    @given(books(), st.data())
+    def test_edges_of_the_repriced_path(self, book, data):
+        """Re-pricing at the edges of LiquidableCache.repriced: prices a few
+        units from a flip price, borrow index steps of one unit, a zero
+        collateral factor and inputs near the carrier, on states copied or
+        written to (extreme writes included) before each fold. The results,
+        failure types and first failing accounts equal the reference's."""
+        ours, theirs = book.copy(), book.copy()
+        for _ in range(data.draw(st.integers(1, 3))):
+            before = data.draw(st.sampled_from(("none", "copy", "write", "extreme-write")))
+            if before == "copy":
+                ours, theirs = ours.copy(), theirs.copy()
+            elif before != "none":
+                write = draw_write(data, ours, extreme=before == "extreme-write")
+                write(ours)
+                write(theirs)
+            events = draw_events(data, ours, data.draw(st.integers(1, 8)), edges=True)
+            result = failure_site(track_efficiency, ours, events)
+            assert result == failure_site(reference_track_efficiency, theirs, events)
+            if result[0][0] != "ok":
+                break
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(120, 320), st.integers(3, 8))
     def test_cached_sign_equals_fresh_valuation_on_generated_streams(self, seed, event_count, accounts):
@@ -695,3 +854,33 @@ class TestCachedValuationAgainstReference:
             apply_event(state, event)
             for account in sorted(state.participants):
                 assert cache.liquidable(account) == account_health(state, account).liquidable
+
+
+class TestExactValuationCount:
+    """Exact valuations are counted, not timed: after each event only the
+    accounts it wrote are valued in full, and the holders of a market it
+    re-priced are decided from their cached sums."""
+
+    @staticmethod
+    def exact_valuations(monkeypatch, events) -> int:
+        calls = []
+        liquidable = LiquidableCache.liquidable
+
+        def counting(cache, account):
+            calls.append(account)
+            return liquidable(cache, account)
+
+        monkeypatch.setattr(LiquidableCache, "liquidable", counting)
+        track_efficiency(GlobalState.fresh(), events)
+        return len(calls)
+
+    def test_profile_stream(self, monkeypatch):
+        # The 4 Mints, 4 Borrows and 4 LiquidateBorrows write 16 accounts;
+        # the holders a PriceUpdate re-prices take none.
+        assert self.exact_valuations(monkeypatch, cdf_profile_stream()) == 16
+
+    def test_no_more_than_events_on_a_generated_stream(self, monkeypatch):
+        # 242 for these 400 events; each re-pricing event used to value
+        # every holder of its market in full (1,099 in all).
+        events = generated_stream(7, 400, 8)
+        assert self.exact_valuations(monkeypatch, events) <= len(events)

@@ -504,7 +504,9 @@ def test_one_canonical_json_writer_in_package_source():
 
 def test_importing_a_module_loads_only_its_dependencies():
     """The package re-exports nothing, so importing one module does not
-    load the generator, the oracle or the analytics."""
+    load the generator, the oracle or the analytics. The CLI loads at start
+    only the modules whose errors main() catches; each command imports
+    the rest of what it runs."""
     code = (
         "import sys\n"
         "sys.path[:0] = [sys.argv[1]]\n"
@@ -513,6 +515,7 @@ def test_importing_a_module_loads_only_its_dependencies():
         "    print(' '.join(sorted(m for m in sys.modules if m.startswith('plfkit.'))))\n"
         "loaded('fixedpoint')\n"
         "loaded('engine')\n"
+        "loaded('cli')\n"
     )
     src = os.path.dirname(os.path.dirname(plfkit.__file__))
     proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
@@ -520,6 +523,7 @@ def test_importing_a_module_loads_only_its_dependencies():
     assert proc.stdout.splitlines() == [
         "plfkit.fixedpoint",
         "plfkit.engine plfkit.events plfkit.fixedpoint plfkit.model",
+        "plfkit.cli plfkit.engine plfkit.events plfkit.fixedpoint plfkit.model plfkit.snapshots",
     ]
 
 

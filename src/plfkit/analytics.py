@@ -13,7 +13,10 @@ sums where they prove every check of a full valuation passes. So the sign
 and every failure are exactly those of a full valuation. Full
 re-evaluation values every account with account_health after every event,
 without the cache: it is the uncached cross-check (the oracle-test mode).
-funds_time_series folds the stream up to each sample block and values it.
+funds_time_series folds the stream up to each sample block and values the
+markets' supplied and borrowed USD on int mantissas, with Dec's truncation
+order and carrier checks, wrapping the sums in Dec once per row. A sample
+that no event reached since the previous one repeats that row's values.
 """
 
 from __future__ import annotations
@@ -24,8 +27,8 @@ from typing import Iterable, Literal, Sequence
 
 from .engine import ReplayReport, _fold, _warn
 from .events import EventRecord, OrderingKey
-from .fixedpoint import ZERO, Dec
-from .model import GlobalState
+from .fixedpoint import ZERO, Dec, checked, trunc_mul
+from .model import GlobalState, MissingPriceError
 from .risk import LiquidableCache, _sums, account_health
 
 NOT_LIQUIDABLE_WARNING = "not-liquidable-at-engine-precision"
@@ -251,17 +254,28 @@ class FundsRow:
 
 
 def _funds_row(state: GlobalState, block: int) -> FundsRow:
-    supplied = ZERO
-    borrowed = ZERO
+    # Dec's truncation order on mantissas: (supply * rate) * price and
+    # borrows * price, markets in sorted-symbol order, every product and
+    # partial sum checked against the carrier.
+    supplied = borrowed = 0
+    prices = state.price_table.prices
     for symbol in sorted(state.markets):
         market = state.markets[symbol]
-        if market.total_ctoken_supply.is_zero() and market.total_borrows.is_zero():
+        supply = market.total_ctoken_supply.mantissa
+        borrows = market.total_borrows.mantissa
+        if not supply and not borrows:
             continue
-        price = state.price_table.get(symbol)
-        supplied = supplied + (market.total_ctoken_supply * market.exchange_rate) * price
-        borrowed = borrowed + market.total_borrows * price
+        price = prices.get(symbol)
+        if price is None:
+            raise MissingPriceError(symbol)
+        value = trunc_mul(trunc_mul(supply, market.exchange_rate.mantissa), price.mantissa)
+        supplied = checked(supplied + value)
+        borrowed = checked(borrowed + trunc_mul(borrows, price.mantissa))
     return FundsRow(
-        block=block, supplied_usd=supplied, borrowed_usd=borrowed, locked_usd=supplied - borrowed
+        block=block,
+        supplied_usd=Dec.from_mantissa(supplied),
+        borrowed_usd=Dec.from_mantissa(borrowed),
+        locked_usd=Dec.from_mantissa(supplied - borrowed),
     )
 
 
@@ -274,18 +288,25 @@ def funds_time_series(
     Samples start at the first event's block and always include the final
     block; each row values the state after all events with block <= the
     sample block. With no events a single all-zero row is returned.
+    A sample whose slice of the stream is empty repeats the previous row's
+    values under its own block: no event reached the state since.
     """
     if stride < 1:
         raise ValueError("stride must be at least 1")
     if not events:
         return [FundsRow(0, ZERO, ZERO, ZERO)], []
 
-    # Keys strictly increase, so blocks are sorted.
+    # Keys strictly increase, so blocks are sorted. The first sample is
+    # the first event's block, so its slice is never empty.
     blocks = [e.key.block for e in events]
     report = ReplayReport()
     rows: list[FundsRow] = []
     for sample in [*range(blocks[0], blocks[-1], stride), blocks[-1]]:
         end = bisect_right(blocks, sample, report.events_applied)
-        _fold(state, events[report.events_applied : end], report)
-        rows.append(_funds_row(state, sample))
+        if end > report.events_applied:
+            _fold(state, events[report.events_applied : end], report)
+            row = _funds_row(state, sample)
+        else:
+            row = FundsRow(sample, row.supplied_usd, row.borrowed_usd, row.locked_usd)
+        rows.append(row)
     return rows, report.warnings

@@ -233,11 +233,10 @@ def cmd_concentration(args: argparse.Namespace) -> int:
     from .analytics import concentration
 
     report = concentration(_state_from_args(args), args.side, args.top)
-    print(
-        f"side={report.side} total_usd={report.total_usd} "
-        f"top1_share={report.top1_share} top{report.top_n}_share={report.topn_share}",
-        file=sys.stderr,
-    )
+    summary = f"side={report.side} total_usd={report.total_usd} top1_share={report.top1_share}"
+    if report.top_n > 1:
+        summary += f" top{report.top_n}_share={report.topn_share}"
+    print(summary, file=sys.stderr)
     _write_records(args, ("rank", "account", "value_usd", "share"), report.rows)
     return 0
 
@@ -346,6 +345,8 @@ def _add_state_source(parser: argparse.ArgumentParser) -> None:
         metavar="N",
         help="with --events, replay only blocks <= N",
     )
+    # main() rejects --at-block with --snapshot, which argparse cannot state.
+    parser.set_defaults(state_source=parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,6 +458,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        source = getattr(args, "state_source", None)
+        if source is not None and args.snapshot is not None and args.at_block is not None:
+            source.error("argument --at-block: not allowed with argument --snapshot")
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

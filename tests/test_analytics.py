@@ -1,9 +1,11 @@
 import tempfile
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import plfkit.analytics
 from plfkit.analytics import (
     NOT_LIQUIDABLE_WARNING,
     CdfPoint,
@@ -250,6 +252,82 @@ class TestConcentration:
             concentration(ranked_state(), "supply", 0)
 
 
+# -- Reference time series ---------------------------------------------------
+#
+# funds_time_series as written before it valued samples on int mantissas and
+# reused the rows of samples no event reached: every sample valued with Dec
+# operators on its own state. Kept here as the reference.
+
+
+def reference_funds_row(state: GlobalState, block: int) -> FundsRow:
+    supplied = ZERO
+    borrowed = ZERO
+    for symbol in sorted(state.markets):
+        market = state.markets[symbol]
+        if market.total_ctoken_supply.is_zero() and market.total_borrows.is_zero():
+            continue
+        price = state.price_table.get(symbol)
+        supplied = supplied + (market.total_ctoken_supply * market.exchange_rate) * price
+        borrowed = borrowed + market.total_borrows * price
+    return FundsRow(
+        block=block, supplied_usd=supplied, borrowed_usd=borrowed, locked_usd=supplied - borrowed
+    )
+
+
+def reference_funds_time_series(start: GlobalState, events, stride: int):
+    """Each sample valued by reference_funds_row on a copy of ``start``
+    replayed afresh up to the sample block, with the last replay's
+    warnings."""
+    blocks = [e.key.block for e in events]
+    rows = []
+    for sample in [*range(blocks[0], blocks[-1], stride), blocks[-1]]:
+        state = start.copy()
+        warnings = []
+        for event in events:
+            if event.key.block > sample:
+                break
+            warnings.extend(apply_event(state, event))
+        rows.append(reference_funds_row(state, sample))
+    return rows, warnings
+
+
+def funds_site(series, namespace: dict, name: str, start: GlobalState, events, stride: int):
+    """outcome(series, start.copy(), events, stride), with the sample blocks
+    whose valuation ``namespace[name]`` raised: the failing sample, or none
+    when the failure is a transition's."""
+    failed = []
+    value = namespace[name]
+
+    def valued(state, block):
+        try:
+            return value(state, block)
+        except (MissingPriceError, DecOverflowError):
+            failed.append(block)
+            raise
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(namespace, name, valued)
+        return outcome(series, start.copy(), events, stride), failed
+
+
+def both_funds_sites(start: GlobalState, events, stride: int):
+    return (
+        funds_site(funds_time_series, vars(plfkit.analytics), "_funds_row", start, events, stride),
+        funds_site(reference_funds_time_series, globals(), "reference_funds_row", start, events, stride),
+    )
+
+
+def with_gaps(data, events: list[EventRecord]) -> list[EventRecord]:
+    """``events`` in order, each 0 to 9 blocks after the one before (0: the
+    next transaction of the same block), so that some blocks have no event."""
+    block, tx, keyed = 1, -1, []
+    for event in events:
+        gap = data.draw(st.integers(0, 9)) if keyed else 0
+        block, tx = (block, tx + 1) if gap == 0 else (block + gap, 0)
+        keyed.append(replace(event, key=OrderingKey(block, tx, 0)))
+    return keyed
+
+
 class TestFundsTimeSeries:
     def test_hand_fixture_every_block(self):
         rows, _ = funds_time_series(GlobalState.fresh(), hand_fixture(), stride=1)
@@ -285,6 +363,83 @@ class TestFundsTimeSeries:
     def test_stride_validated(self):
         with pytest.raises(ValueError):
             funds_time_series(GlobalState.fresh(), hand_fixture(), stride=0)
+
+    @pytest.mark.parametrize("stride", [1, 2, 7])
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rows_equal_a_fresh_replay_to_each_sample(self, stride, data):
+        """Rows, warnings, failure types and failing samples equal the
+        reference's on books with streams that skip blocks. A market total
+        written near the carrier, a dropped price and re-pricing events at
+        the edges make some samples fail."""
+        start = data.draw(books())
+        symbol = data.draw(st.sampled_from(SYMBOLS))
+        edge = data.draw(st.sampled_from(("none", "drop-price", "total_ctoken_supply", "total_borrows")))
+        if edge == "drop-price":
+            del start.price_table.prices[symbol]
+        elif edge != "none":
+            huge = data.draw(st.integers(MANTISSA_BOUND >> 24, MANTISSA_BOUND - 1))
+            setattr(start.markets[symbol], edge, Dec.from_mantissa(huge))
+        events = with_gaps(data, draw_events(data, start, data.draw(st.integers(1, 12)), edges=True))
+        assume(events)
+        ours, theirs = both_funds_sites(start, events, stride)
+        assert ours == theirs
+
+    @pytest.mark.parametrize("stride, site", [
+        (1, ("MissingPriceError", [2])),
+        (2, ("MissingPriceError", [3])),
+        (7, ("ok", [])),  # samples 1 and 5 only
+    ])
+    def test_mint_before_the_first_price(self, stride, site):
+        events = [
+            make_event(1, 0, 0, "MarketListed", "DAI",
+                       initial_exchange_rate=ONE, initial_collateral_factor=Dec("0.5")),
+            make_event(2, 0, 0, "Mint", "DAI", account=ACCT_A,
+                       amount_underlying=Dec(10), amount_ctokens=Dec(10)),
+            make_event(5, 0, 0, "PriceUpdate", "DAI", price_usd=ONE),
+        ]
+        ours, theirs = both_funds_sites(GlobalState.fresh(), events, stride)
+        assert ours == theirs
+        assert (ours[0][0], ours[1]) == site
+
+    @pytest.mark.parametrize("stride", [1, 2, 7])
+    def test_supply_near_the_carrier(self, stride):
+        # 2**254 cTokens at rate 1 fit the carrier; at price 2 their value does not.
+        ctokens = Dec.from_mantissa(2 ** 254)
+        events = [
+            make_event(1, 0, 0, "MarketListed", "DAI",
+                       initial_exchange_rate=ONE, initial_collateral_factor=Dec("0.5")),
+            make_event(1, 1, 0, "PriceUpdate", "DAI", price_usd=Dec(2)),
+            make_event(3, 0, 0, "Mint", "DAI", account=ACCT_A,
+                       amount_underlying=ctokens, amount_ctokens=ctokens),
+        ]
+        ours, theirs = both_funds_sites(GlobalState.fresh(), events, stride)
+        assert ours == theirs
+        assert (ours[0][0], ours[1]) == ("DecOverflowError", [3])
+
+    @pytest.mark.parametrize("kind", ["Mint", "Borrow"])
+    def test_partial_sum_past_the_carrier_before_a_missing_price(self, kind):
+        # Markets are valued in sorted-symbol order, not listing order: the
+        # supplied or borrowed sum leaves the carrier at BBB, before unpriced
+        # CCC is reached.
+        half = Dec.from_mantissa(2 ** 254)
+        amounts = {"amount_ctokens": half} if kind == "Mint" else {}
+        events = [
+            make_event(1, tx, 0, "MarketListed", symbol,
+                       initial_exchange_rate=ONE, initial_collateral_factor=Dec("0.5"))
+            for tx, symbol in enumerate(("CCC", "AAA", "BBB"))
+        ] + [
+            make_event(1, 3, 0, "PriceUpdate", "AAA", price_usd=ONE),
+            make_event(1, 4, 0, "PriceUpdate", "BBB", price_usd=ONE),
+        ] + [
+            make_event(2, 0, 0, "Mint", "CCC", account=ACCT_A, amount_underlying=ONE, amount_ctokens=ONE),
+        ] + [
+            make_event(2, tx, 0, kind, symbol, account=ACCT_A, amount_underlying=half, **amounts)
+            for tx, symbol in ((1, "AAA"), (2, "BBB"))
+        ]
+        ours, theirs = both_funds_sites(GlobalState.fresh(), events, 1)
+        assert ours == theirs
+        assert (ours[0][0], ours[1]) == ("DecOverflowError", [2])
 
 
 class TestCdfStreamIntegrity:
@@ -884,3 +1039,37 @@ class TestExactValuationCount:
         # every holder of its market in full (1,099 in all).
         events = generated_stream(7, 400, 8)
         assert self.exact_valuations(monkeypatch, events) <= len(events)
+
+
+class TestFundsValuationCount:
+    """Sample valuations are counted, not timed: funds_time_series values a
+    sample only when its slice of the stream applied an event."""
+
+    @staticmethod
+    def valued_and_reached(monkeypatch, events, stride) -> tuple[list[int], list[int]]:
+        valued = []
+        value = plfkit.analytics._funds_row
+
+        def counting(state, block):
+            valued.append(block)
+            return value(state, block)
+
+        monkeypatch.setattr(plfkit.analytics, "_funds_row", counting)
+        rows, _ = funds_time_series(GlobalState.fresh(), events, stride)
+        blocks = [event.key.block for event in events]
+        samples = [row.block for row in rows]
+        reached = [
+            sample for before, sample in zip([None, *samples], samples)
+            if any((before is None or before < block) and block <= sample for block in blocks)
+        ]
+        return valued, reached
+
+    def test_hand_fixture(self, monkeypatch):
+        # An event in every block from 1 to 13: every sample is reached.
+        valued, reached = self.valued_and_reached(monkeypatch, hand_fixture(), 1)
+        assert len(valued) == 13 and valued == reached
+
+    def test_generated_stream_with_unreached_samples(self, monkeypatch):
+        # 196 of the 291 samples are reached; 95 repeat the row before them.
+        valued, reached = self.valued_and_reached(monkeypatch, generated_stream(7, 400, 8), 1)
+        assert len(valued) == 196 and valued == reached

@@ -343,6 +343,16 @@ class TestConcentration:
         assert rows[0]["account"] != ACCT_A  # the other account holds more
         assert "side=supply" in err and "top1_share=" in err
 
+    @pytest.mark.parametrize("top, keys", [
+        ("1", ["side", "total_usd", "top1_share"]),
+        ("2", ["side", "total_usd", "top1_share", "top2_share"]),
+    ])
+    def test_summary_names_each_share_once(self, capsys, files, top, keys):
+        code, _, err = run(capsys, "concentration", "--events", files["hand"],
+                           "--side", "supply", "--top", top)
+        assert code == 0
+        assert [field.split("=")[0] for field in err.split()] == keys
+
     def test_borrow_side(self, capsys, files):
         code, out, _ = run(capsys, "concentration", "--events", files["hand"],
                            "--side", "borrow", "--top", "2")
@@ -521,6 +531,19 @@ class TestSnapshotCommands:
 
 
 class TestCommonBehavior:
+    @pytest.mark.parametrize("command", [
+        ("liquidable",),
+        ("sensitivity", "--asset", "ETH", "--shocks", "0.1"),
+        ("concentration", "--side", "supply"),
+    ], ids=lambda command: command[0])
+    def test_at_block_with_snapshot_is_usage_error(self, capsys, files, tmp_path, command):
+        # A snapshot is a state at its own cursor: there is no stream to cut.
+        snap = str(tmp_path / "end.snap")
+        run(capsys, "snapshot", "save", "--events", files["hand"], "--out-path", snap)
+        code, out, err = run(capsys, *command, "--snapshot", snap, "--at-block", "5")
+        assert (code, out) == (2, "")
+        assert "--at-block" in err and "Traceback" not in err
+
     def test_out_file_instead_of_stdout(self, capsys, files, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run(capsys, "replay", "--events", files["hand"],

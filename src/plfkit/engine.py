@@ -14,13 +14,12 @@ accounts and re-priced market to an optional observer (track_efficiency).
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .events import EventRecord, OrderingKey
 from .fixedpoint import SCALE, ZERO, Dec, DecOverflowError
-from .model import GlobalState, MarketState, Position, canonical_json_bytes
+from .model import GlobalState, MarketState, Position, dict_digest, state_to_dict
 
 
 class TransitionError(ValueError):
@@ -51,7 +50,7 @@ class ReplayReport:
 
 def state_digest(state: GlobalState) -> str:
     """Collision-resistant fingerprint of the canonical serialization."""
-    return hashlib.sha256(canonical_json_bytes(state)).hexdigest()
+    return dict_digest(state_to_dict(state))
 
 
 def _market(state: GlobalState, event: EventRecord, symbol: str) -> MarketState:

@@ -22,6 +22,10 @@ MANTISSA_BOUND = 2 ** 255
 # The whole decimal grammar. Character classes, not \d, so that only ASCII
 # digits match; fullmatch, not $, so that nothing may follow.
 _DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
+# The canonical grammar: the literals Dec.__str__ writes, one per value. A
+# _DECIMAL literal with no plus sign, no leading zeros, no "-0", and a
+# fraction only when it is nonzero: at most 18 digits, no trailing zeros.
+_CANONICAL_DECIMAL = re.compile(r"(?!-0\Z)-?(?:0|[1-9][0-9]*)(?:\.[0-9]{0,17}[1-9])?")
 # 10**(18 - n) scales the digits of a literal with n fractional digits.
 _FRACTION_SCALE = tuple(10 ** (FRACTIONAL_DIGITS - n) for n in range(FRACTIONAL_DIGITS + 1))
 # Digits of the largest whole part the carrier holds; longer ones overflow.
@@ -33,7 +37,8 @@ class DecOverflowError(ArithmeticError):
 
 
 class DecParseError(ValueError):
-    """String is not a plain decimal with at most 18 fractional digits."""
+    """Value is not a decimal literal of the required grammar, or has more
+    than 18 fractional digits."""
 
 
 def checked(mantissa: int) -> int:
@@ -247,6 +252,18 @@ class Dec:
 
 ZERO = Dec(0)
 ONE = Dec(1)
+
+
+def parse_canonical(text: object) -> Dec:
+    """The Dec whose str() is text.
+
+    Any other value, a non-canonical spelling of a decimal included, raises
+    DecParseError; a canonical literal beyond the carrier raises
+    DecOverflowError.
+    """
+    if type(text) is not str or _CANONICAL_DECIMAL.fullmatch(text) is None:
+        raise DecParseError(f"not a canonical decimal literal: {text!r}")
+    return Dec(text)
 
 
 def dec_muldiv(a: Dec, b: Dec, c: Dec) -> Dec:

@@ -11,11 +11,12 @@ borrower (interest accrues lazily per position, truncating).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from .events import OrderingKey, _encode_canonical
-from .fixedpoint import ONE, ZERO, Dec, dec_muldiv
+from .fixedpoint import ONE, ZERO, Dec, dec_muldiv, parse_canonical
 
 
 class MissingPriceError(LookupError):
@@ -206,44 +207,89 @@ def state_to_dict(state: GlobalState) -> dict[str, Any]:
     }
 
 
-def state_from_dict(data: dict[str, Any]) -> GlobalState:
-    """Rebuild a GlobalState from its canonical dict form."""
+# The keys state_to_dict writes, per object. The decoder takes exactly these.
+_STATE_KEYS = frozenset({"cursor", "params", "markets", "participants", "prices"})
+_CURSOR_KEYS = frozenset({"block", "tx_index", "log_index"})
+_PARAMS_KEYS = frozenset({"close_factor", "liquidation_incentive"})
+_MARKET_KEYS = frozenset({
+    "asset", "interest_model", "total_borrows", "total_ctoken_supply",
+    "collateral_factor", "borrow_index", "exchange_rate",
+})
+_ASSET_KEYS = frozenset({"symbol", "decimals"})
+_INTEREST_MODEL_KEYS = frozenset({"model_id", "params"})
+_POSITION_KEYS = frozenset({"ctoken_balance", "borrow_principal", "borrow_index_snapshot"})
+
+
+def _object(data: Any, keys: frozenset[str] | None, *path: str) -> dict[str, Any]:
+    """data itself, once it is a JSON object with exactly the given keys
+    (with any keys when keys is None); path names it in the error."""
+    if type(data) is dict and (keys is None or data.keys() == keys):
+        return data
+    where = "state" + "".join(f"[{part!r}]" for part in path)
+    if type(data) is not dict:
+        raise ValueError(f"{where} must be an object, not {type(data).__name__}")
+    raise ValueError(f"{where} must have the keys {sorted(keys)}, not {sorted(data)}")
+
+
+def state_from_dict(data: Any) -> GlobalState:
+    """Rebuild a GlobalState from its canonical dict form.
+
+    Only the canonical form is accepted: exactly the keys state_to_dict
+    writes, objects where it writes dicts, and each decimal as Dec.__str__
+    writes it. So state_to_dict(state_from_dict(data)) == data for every
+    data it returns on; anything else raises ValueError, TypeError or
+    DecOverflowError.
+    """
+    # Dec is immutable, so each distinct literal is decoded once and shared.
+    memo: dict[str, Dec] = {}
+
+    def dec(text: Any) -> Dec:
+        value = memo.get(text) if type(text) is str else None
+        if value is None:
+            value = memo[text] = parse_canonical(text)
+        return value
+
+    _object(data, _STATE_KEYS)
     cursor_raw = data["cursor"]
-    cursor = (
-        None
-        if cursor_raw is None
-        else OrderingKey(cursor_raw["block"], cursor_raw["tx_index"], cursor_raw["log_index"])
-    )
+    if cursor_raw is None:
+        cursor = None
+    else:
+        _object(cursor_raw, _CURSOR_KEYS, "cursor")
+        cursor = OrderingKey(cursor_raw["block"], cursor_raw["tx_index"], cursor_raw["log_index"])
+    params_raw = _object(data["params"], _PARAMS_KEYS, "params")
     params = ProtocolParams(
-        close_factor=Dec(data["params"]["close_factor"]),
-        liquidation_incentive=Dec(data["params"]["liquidation_incentive"]),
+        close_factor=dec(params_raw["close_factor"]),
+        liquidation_incentive=dec(params_raw["liquidation_incentive"]),
     )
     markets = {}
-    for symbol, m in data["markets"].items():
+    for symbol, m in _object(data["markets"], None, "markets").items():
+        _object(m, _MARKET_KEYS, "markets", symbol)
+        asset = _object(m["asset"], _ASSET_KEYS, "markets", symbol, "asset")
+        model = _object(m["interest_model"], _INTEREST_MODEL_KEYS, "markets", symbol, "interest_model")
+        model_params = _object(model["params"], None, "markets", symbol, "interest_model", "params")
         markets[symbol] = MarketState(
-            asset=AssetId(m["asset"]["symbol"], m["asset"]["decimals"]),
+            asset=AssetId(asset["symbol"], asset["decimals"]),
             interest_model=InterestModel(
-                model_id=m["interest_model"]["model_id"],
-                params={k: Dec(v) for k, v in m["interest_model"]["params"].items()},
+                model_id=model["model_id"],
+                params={k: dec(v) for k, v in model_params.items()},
             ),
-            total_borrows=Dec(m["total_borrows"]),
-            total_ctoken_supply=Dec(m["total_ctoken_supply"]),
-            collateral_factor=Dec(m["collateral_factor"]),
-            borrow_index=Dec(m["borrow_index"]),
-            exchange_rate=Dec(m["exchange_rate"]),
+            total_borrows=dec(m["total_borrows"]),
+            total_ctoken_supply=dec(m["total_ctoken_supply"]),
+            collateral_factor=dec(m["collateral_factor"]),
+            borrow_index=dec(m["borrow_index"]),
+            exchange_rate=dec(m["exchange_rate"]),
         )
-    participants = {
-        account: {
-            symbol: Position(
-                ctoken_balance=Dec(p["ctoken_balance"]),
-                borrow_principal=Dec(p["borrow_principal"]),
-                borrow_index_snapshot=Dec(p["borrow_index_snapshot"]),
+    participants = {}
+    for account, holdings in _object(data["participants"], None, "participants").items():
+        positions = participants[account] = {}
+        for symbol, p in _object(holdings, None, "participants", account).items():
+            _object(p, _POSITION_KEYS, "participants", account, symbol)
+            positions[symbol] = Position(
+                ctoken_balance=dec(p["ctoken_balance"]),
+                borrow_principal=dec(p["borrow_principal"]),
+                borrow_index_snapshot=dec(p["borrow_index_snapshot"]),
             )
-            for symbol, p in holdings.items()
-        }
-        for account, holdings in data["participants"].items()
-    }
-    prices = PriceTable({symbol: Dec(p) for symbol, p in data["prices"].items()})
+    prices = PriceTable({symbol: dec(p) for symbol, p in _object(data["prices"], None, "prices").items()})
     return GlobalState(
         markets=markets,
         participants=participants,
@@ -256,6 +302,12 @@ def state_from_dict(data: dict[str, Any]) -> GlobalState:
 def canonical_json_bytes(state: GlobalState) -> bytes:
     """Byte-deterministic serialization: sorted keys, compact, ASCII."""
     return _encode_canonical(state_to_dict(state))
+
+
+def dict_digest(data: dict[str, Any]) -> str:
+    """SHA-256 of a state's canonical dict form: the state digest of every
+    state that state_to_dict turns into data."""
+    return hashlib.sha256(_encode_canonical(data)).hexdigest()
 
 
 # -- Aggregate validation ----------------------------------------------------

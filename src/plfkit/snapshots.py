@@ -3,17 +3,19 @@
 Snapshots are a single canonical JSON document (sorted keys, compact
 separators, ASCII) so the same state saves to identical bytes on every
 platform. The embedded digest covers the full canonical state including
-the cursor; loads verify it before handing the state back.
+the cursor. A load accepts the state only in the canonical form
+``state_to_dict`` writes, so the digest of the stored dict is the digest
+of the state rebuilt from it; loads verify it before handing the state
+back.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import asdict, dataclass
 
-from .engine import state_digest
 from .events import OrderingKey, _encode_canonical, _parse_json
-from .model import GlobalState, state_from_dict, state_to_dict
+from .fixedpoint import DecOverflowError
+from .model import GlobalState, dict_digest, state_from_dict, state_to_dict
 
 FORMAT_VERSION = 1
 
@@ -47,9 +49,7 @@ class SnapshotMeta:
 def save_snapshot(state: GlobalState, path: str) -> SnapshotMeta:
     """Write the state to a byte-deterministic snapshot file."""
     data = state_to_dict(state)
-    # The digest of the dict form is state_digest(state), without building
-    # that form a second time.
-    digest = hashlib.sha256(_encode_canonical(data)).hexdigest()
+    digest = dict_digest(data)
     document = {
         "format_version": FORMAT_VERSION,
         "cursor": data["cursor"],
@@ -86,15 +86,18 @@ def _read_document(path: str) -> dict:
 def read_snapshot(path: str) -> tuple[GlobalState, SnapshotMeta]:
     """Load a snapshot and its header: one read, one digest.
 
-    The digest is recomputed from the rebuilt state and must match the
-    stored one; then the header cursor must equal the state's cursor.
+    The state must decode from its canonical form; then the digest of the
+    stored state must match the stored one, and the header cursor must
+    equal the state's cursor.
     """
     document = _read_document(path)
     try:
         state = state_from_dict(document["state"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DecOverflowError) as exc:
         raise SnapshotError(f"snapshot state malformed: {exc}") from None
-    actual = state_digest(state)
+    # The decoder accepts only what state_to_dict writes, so this is
+    # state_digest(state) without building the dict form again.
+    actual = dict_digest(document["state"])
     if actual != document["digest"]:
         raise SnapshotDigestError(document["digest"], actual)
     cursor = None if state.cursor is None else asdict(state.cursor)

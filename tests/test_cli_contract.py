@@ -191,20 +191,58 @@ def test_spec_missing_required_key(capsys, tmp_path, path):
     assert not (tmp_path / "s.jsonl").exists()
 
 
-@pytest.mark.parametrize("command", sorted(_SNAPSHOT_COMMANDS))
-def test_tampered_snapshot(capsys, tmp_path, command):
+def _edited_hand_snapshot(capsys, tmp_path, edit):
+    """The hand fixture's stream and end-state snapshot, with edit applied
+    to the snapshot's parsed document."""
     stream = tmp_path / "hand.jsonl"
     write_events(str(stream), hand_fixture())
     snap = tmp_path / "hand.snap"
     assert main(["snapshot", "save", "--events", str(stream), "--out-path", str(snap)]) == 0
     document = json.loads(snap.read_text())
-    document["state"]["params"]["close_factor"] = "0.6"
+    edit(document)
     snap.write_text(json.dumps(document))
     capsys.readouterr()
+    return stream, snap
+
+
+@pytest.mark.parametrize("command", sorted(_SNAPSHOT_COMMANDS))
+def test_tampered_snapshot(capsys, tmp_path, command):
+    def edit(document):
+        document["state"]["params"]["close_factor"] = "0.6"
+
+    stream, snap = _edited_hand_snapshot(capsys, tmp_path, edit)
     argv = [part.format(stream=stream, snap=snap) for part in _SNAPSHOT_COMMANDS[command]]
     code, out, err = _run(capsys, argv)
     _assert_one_error_line(code, out, err)
     assert "snapshot digest mismatch" in err
+
+
+# States the decoder rejects before any digest is taken: a container that is
+# not a JSON object, and a canonical decimal beyond the carrier.
+_MALFORMED_STATES = {
+    "markets-list": (lambda state: state.update(markets=[]), "state['markets'] must be an object, not list"),
+    "prices-list": (lambda state: state.update(prices=[]), "state['prices'] must be an object, not list"),
+    "holdings-list": (
+        lambda state: state["participants"].update({ACCT_A: []}),
+        f"state['participants']['{ACCT_A}'] must be an object, not list",
+    ),
+    "ctoken-balance-70-digits": (
+        lambda state: state["participants"][ACCT_A]["DAI"].update(ctoken_balance="9" * 70),
+        "mantissa exceeds the signed 256-bit carrier",
+    ),
+}
+
+
+@pytest.mark.parametrize("state", sorted(_MALFORMED_STATES))
+@pytest.mark.parametrize("command", sorted(_SNAPSHOT_COMMANDS))
+def test_malformed_snapshot_state(capsys, tmp_path, command, state):
+    edit, reason = _MALFORMED_STATES[state]
+    stream, snap = _edited_hand_snapshot(capsys, tmp_path, lambda document: edit(document["state"]))
+    argv = [part.format(stream=stream, snap=snap) for part in _SNAPSHOT_COMMANDS[command]]
+    code, out, err = _run(capsys, argv)
+    _assert_one_error_line(code, out, err)
+    prefix = "snapshot verification failed" if command == "snapshot-verify" else f"cannot load snapshot {snap}"
+    assert err == f"error: {prefix}: snapshot state malformed: {reason}\n"
 
 
 @pytest.mark.parametrize("header,value,expected", [
@@ -214,14 +252,7 @@ def test_tampered_snapshot(capsys, tmp_path, command):
 ], ids=["cursor-block-99", "version-true", "version-1.0"])
 @pytest.mark.parametrize("command", ["liquidable", "snapshot-load", "snapshot-verify"])
 def test_bad_snapshot_header(capsys, tmp_path, command, header, value, expected):
-    stream = tmp_path / "hand.jsonl"
-    write_events(str(stream), hand_fixture())
-    snap = tmp_path / "hand.snap"
-    assert main(["snapshot", "save", "--events", str(stream), "--out-path", str(snap)]) == 0
-    document = json.loads(snap.read_text())
-    document[header] = value
-    snap.write_text(json.dumps(document))
-    capsys.readouterr()
+    stream, snap = _edited_hand_snapshot(capsys, tmp_path, lambda document: document.update({header: value}))
     argv = [part.format(stream=stream, snap=snap) for part in _SNAPSHOT_COMMANDS[command]]
     code, out, err = _run(capsys, argv)
     _assert_one_error_line(code, out, err)

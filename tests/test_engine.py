@@ -504,7 +504,8 @@ def test_one_canonical_json_writer_in_package_source():
 
 def test_importing_a_module_loads_only_its_dependencies():
     """The package re-exports nothing, so importing one module does not
-    load the generator, the oracle or the analytics. The CLI loads at start
+    load the generator, the oracle or the analytics, and a snapshot read
+    needs no engine. The CLI loads at start
     only the modules whose errors main() catches; each command imports
     the rest of what it runs."""
     code = (
@@ -514,6 +515,7 @@ def test_importing_a_module_loads_only_its_dependencies():
         "    __import__('plfkit.' + name)\n"
         "    print(' '.join(sorted(m for m in sys.modules if m.startswith('plfkit.'))))\n"
         "loaded('fixedpoint')\n"
+        "loaded('snapshots')\n"
         "loaded('engine')\n"
         "loaded('cli')\n"
     )
@@ -522,7 +524,8 @@ def test_importing_a_module_loads_only_its_dependencies():
     assert proc.stderr == ""
     assert proc.stdout.splitlines() == [
         "plfkit.fixedpoint",
-        "plfkit.engine plfkit.events plfkit.fixedpoint plfkit.model",
+        "plfkit.events plfkit.fixedpoint plfkit.model plfkit.snapshots",
+        "plfkit.engine plfkit.events plfkit.fixedpoint plfkit.model plfkit.snapshots",
         "plfkit.cli plfkit.engine plfkit.events plfkit.fixedpoint plfkit.model plfkit.snapshots",
     ]
 

@@ -3,10 +3,12 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from plfkit.fixedpoint import (
+    _CANONICAL_DECIMAL,
+    _DECIMAL,
     MANTISSA_BOUND,
     ONE,
     SCALE,
@@ -15,6 +17,7 @@ from plfkit.fixedpoint import (
     DecOverflowError,
     DecParseError,
     dec_muldiv,
+    parse_canonical,
     trunc_muldiv,
 )
 
@@ -135,6 +138,45 @@ class TestRendering:
     def test_str_round_trips(self, m):
         d = Dec.from_mantissa(m)
         assert Dec(str(d)) == d
+
+    @given(mantissas | st.integers(-MANTISSA_BOUND + 1, MANTISSA_BOUND - 1))
+    def test_str_is_canonical(self, m):
+        d = Dec.from_mantissa(m)
+        assert _CANONICAL_DECIMAL.fullmatch(str(d))
+        assert parse_canonical(str(d)) == d
+
+    @settings(max_examples=300)
+    @given(st.from_regex(_DECIMAL, fullmatch=True) | st.from_regex(_CANONICAL_DECIMAL, fullmatch=True))
+    @example("0.50")
+    @example("+1")
+    @example("01")
+    @example("-0")
+    @example("-0.0")
+    @example("1.0")
+    @example("-0.5")
+    @example("0.000000000000000001")
+    @example("0.0000000000000000010")
+    @example("9" * 70)
+    @example("+" + "9" * 70)
+    def test_canonical_literals_are_what_str_writes(self, text):
+        """parse_canonical takes a literal exactly when str() of its value
+        is that literal, and then returns that value."""
+        try:
+            value = Dec(text)
+        except (DecParseError, DecOverflowError):
+            with pytest.raises((DecParseError, DecOverflowError)):
+                parse_canonical(text)
+            return
+        if str(value) == text:
+            assert parse_canonical(text) == value
+        else:
+            with pytest.raises(DecParseError, match="not a canonical decimal literal"):
+                parse_canonical(text)
+
+    @pytest.mark.parametrize("value", [5, 1.5, None, True, ["1"], "1e3", ".5", "1.", " 1"])
+    def test_parse_canonical_refuses_other_values(self, value):
+        with pytest.raises(DecParseError, match="not a canonical decimal literal"):
+            parse_canonical(value)
 
 
 class TestArithmetic:

@@ -1,13 +1,17 @@
+import hashlib
 import json
+import tempfile
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plfkit import snapshots
+from plfkit import engine, model, snapshots
 from plfkit.cli import main
 from plfkit.engine import replay, state_digest
-from plfkit.events import OrderingKey
-from plfkit.model import GlobalState
+from plfkit.events import OrderingKey, _encode_canonical
+from plfkit.model import GlobalState, state_from_dict, state_to_dict
 from plfkit.snapshots import (
     FORMAT_VERSION,
     SnapshotDigestError,
@@ -19,6 +23,7 @@ from plfkit.snapshots import (
     verify_snapshot,
 )
 from streams import hand_fixture
+from test_analytics import books, draw_write, generated_stream
 
 
 @pytest.fixture
@@ -173,23 +178,29 @@ class TestCorruption:
 
 
 class TestWorkDoneOnce:
-    """Each snapshot command reads the file once and computes one digest."""
+    """Each snapshot command reads the file once and computes one digest;
+    a read digests the stored dict form and never builds it again."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         counts = Counter()
 
-        def counted(name):
-            original = getattr(snapshots, name)
+        def counted(name, *modules):
+            original = getattr(modules[0], name)
 
             def wrapper(*args, **kwargs):
                 counts[name] += 1
                 return original(*args, **kwargs)
 
-            monkeypatch.setattr(snapshots, name, wrapper)
+            # Every module that binds the name, so indirect calls count too.
+            for module in modules:
+                monkeypatch.setattr(module, name, wrapper)
 
-        for name in ("_read_document", "state_digest", "state_to_dict", "state_from_dict"):
-            counted(name)
+        counted("_read_document", snapshots)
+        counted("state_from_dict", snapshots, model)
+        counted("state_to_dict", snapshots, model, engine)
+        counted("dict_digest", snapshots, model, engine)
+        counted("state_digest", engine)
         return counts
 
     @pytest.fixture
@@ -201,11 +212,11 @@ class TestWorkDoneOnce:
     @pytest.mark.parametrize("command", ["load", "verify"])
     def test_cli_reads_and_digests_once(self, snap, calls, capsys, command):
         assert main(["snapshot", command, "--snapshot", snap]) == 0
-        assert calls == {"_read_document": 1, "state_from_dict": 1, "state_digest": 1}
+        assert calls == {"_read_document": 1, "state_from_dict": 1, "dict_digest": 1}
 
     def test_save_builds_the_dict_form_once(self, replayed_state, tmp_path, calls):
         meta = save_snapshot(replayed_state, str(tmp_path / "again.snap"))
-        assert calls == {"state_to_dict": 1}
+        assert calls == {"state_to_dict": 1, "dict_digest": 1}
         assert meta.digest == state_digest(replayed_state)
 
     def test_stored_digest_still_checked(self, snap, calls):
@@ -216,10 +227,116 @@ class TestWorkDoneOnce:
             json.dump(document, handle)
         with pytest.raises(SnapshotDigestError):
             read_snapshot(snap)
-        assert calls["state_digest"] == 1
+        assert calls == {"_read_document": 1, "state_from_dict": 1, "dict_digest": 1}
 
     def test_read_returns_state_and_meta(self, snap, replayed_state):
         state, meta = read_snapshot(snap)
         assert meta == verify_snapshot(snap)
         assert meta.digest == state_digest(state) == state_digest(replayed_state)
         assert meta.cursor == state.cursor == replayed_state.cursor
+
+
+# -- Canonical form ---------------------------------------------------------------
+
+
+def drawn_state(data) -> GlobalState:
+    """A state from a generated stream's prefix or a hand-built book, then
+    copied and written to directly, extreme values included."""
+    if data.draw(st.booleans()):
+        events = generated_stream(data.draw(st.integers(0, 2 ** 32)), data.draw(st.integers(40, 200)), 4)
+        state, _ = replay(GlobalState.fresh(), events[: data.draw(st.integers(0, len(events)))])
+    else:
+        state = data.draw(books())
+    for _ in range(data.draw(st.integers(0, 3))):
+        step = data.draw(st.sampled_from(("copy", "write", "extreme-write")))
+        if step == "copy":
+            state = state.copy()
+        elif state.markets:
+            draw_write(data, state, extreme=step == "extreme-write")(state)
+    return state
+
+
+def objects(document: dict) -> list[tuple[dict, str, bool]]:
+    """(holder, key, whether its keys are fixed) for the state and every
+    object within it."""
+    state = document["state"]
+    found = [(document, "state", True), (state, "params", True), (state, "markets", False),
+             (state, "participants", False), (state, "prices", False)]
+    if state["cursor"] is not None:
+        found.append((state, "cursor", True))
+    for symbol, market in state["markets"].items():
+        found += [(state["markets"], symbol, True), (market, "asset", True), (market, "interest_model", True),
+                  (market["interest_model"], "params", False)]
+    for account, holdings in state["participants"].items():
+        found.append((state["participants"], account, False))
+        found += [(holdings, symbol, True) for symbol in holdings]
+    return found
+
+
+def decimals(state: dict) -> list[tuple[dict, str]]:
+    """(holder, key) for every decimal literal in a state's dict form."""
+    holders = [state["params"], state["prices"]]
+    for market in state["markets"].values():
+        holders += [market, market["interest_model"]["params"]]
+    for holdings in state["participants"].values():
+        holders += holdings.values()
+    return [(holder, key) for holder in holders for key, value in holder.items() if isinstance(value, str)]
+
+
+# Spellings that Dec() reads but Dec.__str__ never writes, or that Dec()
+# does not read at all.
+NON_CANONICAL = ("0.50", "+1", "01", "-0", "1.", ".5", "1e3")
+
+
+class TestCanonicalForm:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_decoding_round_trips(self, data):
+        state = drawn_state(data)
+        form = state_to_dict(state)
+        assert _encode_canonical(state_to_dict(state_from_dict(form))) == _encode_canonical(form)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_snapshot(state, f"{tmp}/s.snap")
+            assert read_snapshot(f"{tmp}/s.snap")[1].digest == state_digest(state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_non_canonical_state_is_refused(self, data):
+        """A respelled decimal, an extra key or a list in place of an object
+        is malformed whether or not the digest was recomputed."""
+        state = drawn_state(data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = f"{tmp}/s.snap"
+            save_snapshot(state, path)
+            with open(path) as handle:
+                document = json.load(handle)
+            mutation = data.draw(st.sampled_from(NON_CANONICAL + ("same-value", "extra-key", "list")))
+            if mutation == "extra-key":
+                holder, key, _ = data.draw(st.sampled_from([o for o in objects(document) if o[2]]))
+                holder[key]["extra"] = "1"
+            elif mutation == "list":
+                holder, key, _ = data.draw(st.sampled_from(objects(document)))
+                holder[key] = []
+            else:
+                holder, key = data.draw(st.sampled_from(decimals(document["state"])))
+                if mutation == "same-value":  # trailing zero: the value as it was
+                    mutation = holder[key] + ("0" if "." in holder[key] else ".0")
+                holder[key] = mutation
+            if data.draw(st.booleans()):
+                document["digest"] = hashlib.sha256(_encode_canonical(document["state"])).hexdigest()
+            with open(path, "w") as handle:
+                json.dump(document, handle)
+            with pytest.raises(SnapshotError, match="snapshot state malformed"):
+                read_snapshot(path)
+
+    def test_respelled_close_factor_is_refused(self, replayed_state, tmp_path):
+        """The same value spelled otherwise is another document: "0.50" for
+        "0.5" fails the load with or without a recomputed digest."""
+        path = tmp_path / "state.snap"
+        save_snapshot(replayed_state, str(path))
+        document = json.loads(path.read_text())
+        assert document["state"]["params"]["close_factor"] == "0.5"
+        document["state"]["params"]["close_factor"] = "0.50"
+        path.write_text(json.dumps(document))
+        with pytest.raises(SnapshotError, match="not a canonical decimal literal: '0.50'"):
+            verify_snapshot(str(path))

@@ -169,12 +169,6 @@ class Dec:
             return NotImplemented
         return Dec.from_mantissa(self.mantissa - rhs.mantissa)
 
-    def __rsub__(self, other: object) -> "Dec":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return Dec.from_mantissa(lhs.mantissa - self.mantissa)
-
     def __mul__(self, other: object) -> "Dec":
         rhs = self._coerce(other)
         if rhs is None:
@@ -191,17 +185,8 @@ class Dec:
             raise ZeroDivisionError("Dec division by zero")
         return Dec.from_mantissa(trunc_div(self.mantissa, rhs.mantissa))
 
-    def __rtruediv__(self, other: object) -> "Dec":
-        lhs = self._coerce(other)
-        if lhs is None:
-            return NotImplemented
-        return lhs / self
-
     def __neg__(self) -> "Dec":
         return Dec.from_mantissa(-self.mantissa)
-
-    def __abs__(self) -> "Dec":
-        return Dec.from_mantissa(abs(self.mantissa))
 
     # -- Comparison --------------------------------------------------------
 

@@ -35,10 +35,10 @@ class AssetId:
     decimals: int = 18
 
     def __post_init__(self):
-        if not self.symbol:
-            raise ValueError("asset symbol must be non-empty")
-        if not 0 <= self.decimals <= 18:
-            raise ValueError("asset decimals must lie in [0, 18]")
+        if not isinstance(self.symbol, str) or not self.symbol:
+            raise ValueError("asset symbol must be a non-empty string")
+        if type(self.decimals) is not int or not 0 <= self.decimals <= 18:
+            raise ValueError("asset decimals must be an int in [0, 18]")
 
 
 @dataclass
@@ -297,11 +297,6 @@ def state_from_dict(data: Any) -> GlobalState:
         params=params,
         cursor=cursor,
     )
-
-
-def canonical_json_bytes(state: GlobalState) -> bytes:
-    """Byte-deterministic serialization: sorted keys, compact, ASCII."""
-    return _encode_canonical(state_to_dict(state))
 
 
 def dict_digest(data: dict[str, Any]) -> str:

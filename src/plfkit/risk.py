@@ -314,41 +314,18 @@ class SeizeQuote:
     profit_usd: Dec
 
 
-def seize_quote(
-    repay_value_usd: Dec,
-    incentive: Dec,
-    collateral_price_usd: Dec,
-    exchange_rate: Dec,
-) -> SeizeQuote:
-    """Collateral seized for a repayment at a premium of ``incentive``.
-
-    Profit equals repay_value * incentive exactly; truncation enters only
-    through the cToken conversion.
-    """
-    if incentive.is_negative():
-        raise ValueError("liquidation incentive must be non-negative")
-    seized_value = repay_value_usd * (ONE + incentive)
-    seized_ctokens = seized_value / (collateral_price_usd * exchange_rate)
-    return SeizeQuote(
-        repay_value_usd=repay_value_usd,
-        seized_value_usd=seized_value,
-        seized_ctokens=seized_ctokens,
-        profit_usd=seized_value - repay_value_usd,
-    )
-
-
 def seize_quote_at_discount(
     repay_value_usd: Dec,
     discount: Dec,
     collateral_price_usd: Dec,
     exchange_rate: Dec,
 ) -> SeizeQuote:
-    """Same quote with the premium stated as a purchase discount.
+    """Collateral seized for a repayment at a purchase discount.
 
     A d-discount liquidator pays (1 - d) of the collateral's value, so the
-    seized value is repay / (1 - d). Kept separate from seize_quote because
-    common discounts (10%) imply premiums (1/9) that 18-digit fixed point
-    cannot represent without losing exactness.
+    seized value is repay / (1 - d). The incentive is a discount, not a
+    premium, because a 10% discount means a 1/9 premium, and 18 digits
+    cannot hold 1/9.
     """
     if discount < ZERO or discount >= ONE:
         raise ValueError("discount must lie in [0, 1)")
@@ -425,44 +402,3 @@ def price_sensitivity(
         )
         for shock, count, exposure in zip(shocks, counts, exposures)
     ]
-
-
-def ratio_buckets(state: GlobalState, thresholds: Sequence[Dec]) -> dict[str, Dec]:
-    """Collateral value bucketed by collateralization ratio.
-
-    Buckets partition all participants: "no-borrow" for pure suppliers,
-    "<1.00" for liquidable accounts, then half-open ratio intervals up to
-    each threshold and an unbounded top bucket. Thresholds must be
-    strictly increasing and greater than 1.
-    """
-    previous = ONE
-    for threshold in thresholds:
-        if threshold <= previous:
-            raise ValueError("thresholds must be strictly increasing and greater than 1")
-        previous = threshold
-
-    labels = ["<1.00"]
-    lower = "1.00"
-    for threshold in thresholds:
-        labels.append(f"({lower}, {threshold}]")
-        lower = str(threshold)
-    labels.append(f"({lower}, inf)")
-    labels.append("no-borrow")
-    buckets: dict[str, Dec] = {label: ZERO for label in labels}
-
-    for account in sorted(state.participants):
-        health = account_health(state, account)
-        if health.collateral_value_usd.is_zero() and health.borrow_value_usd.is_zero():
-            continue
-        if health.ratio is None:
-            label = "no-borrow"
-        elif health.liquidable:
-            label = "<1.00"
-        else:
-            label = labels[len(thresholds) + 1]  # top bucket unless a threshold catches it
-            for index, threshold in enumerate(thresholds):
-                if health.ratio <= threshold:
-                    label = labels[index + 1]
-                    break
-        buckets[label] = buckets[label] + health.collateral_value_usd
-    return buckets

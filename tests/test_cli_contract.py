@@ -230,6 +230,18 @@ _MALFORMED_STATES = {
         lambda state: state["participants"][ACCT_A]["DAI"].update(ctoken_balance="9" * 70),
         "mantissa exceeds the signed 256-bit carrier",
     ),
+    "decimals-true": (
+        lambda state: state["markets"]["DAI"]["asset"].update(decimals=True),
+        "asset decimals must be an int in [0, 18]",
+    ),
+    "decimals-1.5": (
+        lambda state: state["markets"]["DAI"]["asset"].update(decimals=1.5),
+        "asset decimals must be an int in [0, 18]",
+    ),
+    "symbol-int": (
+        lambda state: state["markets"]["DAI"]["asset"].update(symbol=5),
+        "asset symbol must be a non-empty string",
+    ),
 }
 
 

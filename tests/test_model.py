@@ -1,6 +1,9 @@
+import hashlib
+
 import pytest
 
-from plfkit.events import OrderingKey, is_valid_address
+from plfkit.engine import state_digest
+from plfkit.events import OrderingKey, _encode_canonical, is_valid_address
 from plfkit.fixedpoint import ONE, ZERO, Dec
 from plfkit.model import (
     AssetId,
@@ -10,7 +13,6 @@ from plfkit.model import (
     Position,
     PriceTable,
     ProtocolParams,
-    canonical_json_bytes,
     state_from_dict,
     state_to_dict,
     validate_state,
@@ -45,6 +47,11 @@ class TestIdentifiers:
             AssetId("")
         with pytest.raises(ValueError):
             AssetId("DAI", 19)
+        for decimals in (True, 1.5, "6"):
+            with pytest.raises(ValueError):
+                AssetId("DAI", decimals)
+        with pytest.raises(ValueError):
+            AssetId(5)
 
     def test_account_id(self):
         assert is_valid_address(ACCT_A)
@@ -143,17 +150,18 @@ class TestSerialization:
         assert state_from_dict(state_to_dict(state)).cursor is None
 
     def test_canonical_bytes_deterministic(self):
-        one = canonical_json_bytes(small_state())
-        two = canonical_json_bytes(small_state())
+        one = _encode_canonical(state_to_dict(small_state()))
+        two = _encode_canonical(state_to_dict(small_state()))
         assert one == two
         assert one.startswith(b"{")
         assert b" " not in one.split(b'"DAI"')[0]  # compact separators
+        assert state_digest(small_state()) == hashlib.sha256(one).hexdigest()
 
     def test_canonical_bytes_reflect_state_changes(self):
         state = small_state()
-        before = canonical_json_bytes(state)
+        before = state_digest(state)
         state.markets["DAI"].total_borrows += Dec.from_mantissa(1)
-        assert canonical_json_bytes(state) != before
+        assert state_digest(state) != before
 
 
 class TestValidateState:

@@ -24,8 +24,6 @@ from plfkit.risk import (
     liquidable_accounts,
     max_repay,
     price_sensitivity,
-    ratio_buckets,
-    seize_quote,
     seize_quote_at_discount,
 )
 from streams import ACCT_A, ACCT_B, ACCT_C, hand_fixture, sensitivity_stream
@@ -125,12 +123,6 @@ class TestMaxRepay:
 
 
 class TestSeizeQuotes:
-    def test_premium_quote(self):
-        quote = seize_quote(Dec(100), Dec("0.1"), Dec(60), Dec("0.0505"))
-        assert quote.seized_value_usd == Dec(110)
-        assert quote.profit_usd == Dec(10)
-        assert quote.seized_ctokens == Dec("36.30363036303630363")
-
     def test_discount_quote_headline_numbers(self):
         # Paying 1.35m for collateral at a 10% discount clears 1.5m.
         quote = seize_quote_at_discount(Dec(1_350_000), Dec("0.1"), ONE, ONE)
@@ -142,17 +134,8 @@ class TestSeizeQuotes:
         # A 10% discount equals a 1/9 premium, which 18 digits cannot hold.
         discount_form = seize_quote_at_discount(Dec(9), Dec("0.1"), ONE, ONE)
         assert discount_form.seized_value_usd == Dec(10)
-        premium_form = seize_quote(Dec(9), Dec(1) / Dec(9), ONE, ONE)
-        assert premium_form.seized_value_usd < Dec(10)
-
-    def test_zero_premium_breaks_even(self):
-        quote = seize_quote(Dec(100), ZERO, ONE, ONE)
-        assert quote.profit_usd == ZERO
-        assert quote.seized_value_usd == quote.repay_value_usd
 
     def test_argument_validation(self):
-        with pytest.raises(ValueError):
-            seize_quote(Dec(1), Dec("-0.1"), ONE, ONE)
         with pytest.raises(ValueError):
             seize_quote_at_discount(Dec(1), ONE, ONE, ONE)
         with pytest.raises(ValueError):
@@ -191,39 +174,6 @@ class TestPriceSensitivity:
     def test_unpriced_asset_rejected(self):
         with pytest.raises(MissingPriceError):
             price_sensitivity(self.state, "XYZ", [ZERO])
-
-
-class TestRatioBuckets:
-    def test_fixture_partition(self):
-        buckets = ratio_buckets(at_block_10(), [Dec("1.25"), Dec(2)])
-        # A is underwater holding 10.1 + 303 USD of collateral; B's ratio
-        # is far above 2 with 3030 USD.
-        assert buckets == {
-            "<1.00": Dec("313.1"),
-            "(1.00, 1.25]": ZERO,
-            "(1.25, 2]": ZERO,
-            "(2, inf)": Dec(3030),
-            "no-borrow": ZERO,
-        }
-
-    def test_pure_suppliers_land_in_no_borrow(self):
-        state, _ = replay(GlobalState.fresh(), hand_fixture()[:7])
-        buckets = ratio_buckets(state, [Dec(2)])
-        assert buckets["no-borrow"] == Dec(5010)
-        assert buckets["<1.00"] == ZERO
-
-    def test_ratio_exactly_one_falls_in_first_interval(self):
-        state = one_supplier_state()
-        state.participants[ACCT_A]["DAI"].borrow_principal = Dec("7.5")
-        buckets = ratio_buckets(state, [Dec("1.5")])
-        assert buckets["(1.00, 1.5]"] == Dec(10)
-
-    def test_threshold_validation(self):
-        state = one_supplier_state()
-        with pytest.raises(ValueError):
-            ratio_buckets(state, [ONE])
-        with pytest.raises(ValueError):
-            ratio_buckets(state, [Dec(2), Dec(2)])
 
 
 # -- Reference valuation ------------------------------------------------------

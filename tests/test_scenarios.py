@@ -348,7 +348,8 @@ class TestConcentrationPlanting:
         result = gen(spec, tmp_path)
         state, _ = replay(GlobalState.fresh(), read_events(result.events_path))
         report = concentration(state, "supply", top_n=1)
-        assert abs(report.top1_share - Dec("0.274")) <= Dec("0.000000000001")
+        tolerance = Dec("0.000000000001")
+        assert -tolerance <= report.top1_share - Dec("0.274") <= tolerance
 
     def test_borrow_share_recovered(self, tmp_path):
         spec = default_spec(7, event_count=200)
@@ -356,7 +357,8 @@ class TestConcentrationPlanting:
         result = gen(spec, tmp_path)
         state, _ = replay(GlobalState.fresh(), read_events(result.events_path))
         report = concentration(state, "borrow", top_n=1)
-        assert abs(report.top1_share - Dec("0.371")) <= Dec("0.000000000001")
+        tolerance = Dec("0.000000000001")
+        assert -tolerance <= report.top1_share - Dec("0.371") <= tolerance
 
     def test_two_whale_ladder(self, tmp_path):
         spec = default_spec(3, event_count=200)
@@ -365,8 +367,8 @@ class TestConcentrationPlanting:
         state, _ = replay(GlobalState.fresh(), read_events(result.events_path))
         report = concentration(state, "supply", top_n=2)
         tolerance = Dec("0.000000000001")
-        assert abs(report.rows[0].share - Dec("0.4")) <= tolerance
-        assert abs(report.rows[1].share - Dec("0.25")) <= tolerance
+        assert -tolerance <= report.rows[0].share - Dec("0.4") <= tolerance
+        assert -tolerance <= report.rows[1].share - Dec("0.25") <= tolerance
 
 
 class TestGroundTruthOracle:

@@ -322,7 +322,7 @@ def cmd_snapshot_verify(args: argparse.Namespace) -> int:
     try:
         meta = verify_snapshot(args.snapshot)
     except (SnapshotError, OSError) as exc:
-        raise CliError(f"snapshot verification failed: {exc}") from None
+        raise CliError(f"cannot verify snapshot {args.snapshot}: {exc}") from None
     _snapshot_row(args, args.snapshot, meta)
     return 0
 

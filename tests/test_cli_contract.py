@@ -253,7 +253,7 @@ def test_malformed_snapshot_state(capsys, tmp_path, command, state):
     argv = [part.format(stream=stream, snap=snap) for part in _SNAPSHOT_COMMANDS[command]]
     code, out, err = _run(capsys, argv)
     _assert_one_error_line(code, out, err)
-    prefix = "snapshot verification failed" if command == "snapshot-verify" else f"cannot load snapshot {snap}"
+    prefix = f"cannot verify snapshot {snap}" if command == "snapshot-verify" else f"cannot load snapshot {snap}"
     assert err == f"error: {prefix}: snapshot state malformed: {reason}\n"
 
 

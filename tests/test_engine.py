@@ -565,7 +565,7 @@ def test_one_event_fold_in_package_source():
 _UNREACHED_PUBLIC_NAMES = {
     "engine.apply_event": "the documented single-event API that the unit tests drive; "
                           "test_one_event_fold_in_package_source pins that no package code calls it",
-    "model.validate_state": "ROADMAP items 4 and 9 call it on load",
+    "model.validate_state": "ROADMAP items 4 and 9 will run it on load; the unit tests check states with it now",
 }
 
 

@@ -14,12 +14,13 @@ accounts and re-priced market to an optional observer (track_efficiency).
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .events import EventRecord, OrderingKey
 from .fixedpoint import SCALE, ZERO, Dec, DecOverflowError
-from .model import GlobalState, MarketState, Position, dict_digest, state_to_dict
+from .model import GlobalState, MarketState, Position, state_bytes
 
 
 class TransitionError(ValueError):
@@ -50,7 +51,7 @@ class ReplayReport:
 
 def state_digest(state: GlobalState) -> str:
     """Collision-resistant fingerprint of the canonical serialization."""
-    return dict_digest(state_to_dict(state))
+    return hashlib.sha256(state_bytes(state)).hexdigest()
 
 
 def _market(state: GlobalState, event: EventRecord, symbol: str) -> MarketState:

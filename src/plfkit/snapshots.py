@@ -3,19 +3,21 @@
 Snapshots are a single canonical JSON document (sorted keys, compact
 separators, ASCII) so the same state saves to identical bytes on every
 platform. The embedded digest covers the full canonical state including
-the cursor. A load accepts the state only in the canonical form
-``state_to_dict`` writes, so the digest of the stored dict is the digest
-of the state rebuilt from it; loads verify it before handing the state
-back.
+the cursor; the state is the document's last member, written as the very
+bytes that were digested. A load accepts the state only in the canonical
+form ``state_to_dict`` writes, so the digest of the stored dict is the
+digest of the state rebuilt from it; loads verify it before handing the
+state back.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import asdict, dataclass
 
 from .events import OrderingKey, _encode_canonical, _parse_json
 from .fixedpoint import DecOverflowError
-from .model import GlobalState, dict_digest, state_from_dict, state_to_dict
+from .model import GlobalState, dict_digest, state_bytes, state_from_dict
 
 FORMAT_VERSION = 1
 
@@ -48,16 +50,14 @@ class SnapshotMeta:
 
 def save_snapshot(state: GlobalState, path: str) -> SnapshotMeta:
     """Write the state to a byte-deterministic snapshot file."""
-    data = state_to_dict(state)
-    digest = dict_digest(data)
-    document = {
-        "format_version": FORMAT_VERSION,
-        "cursor": data["cursor"],
-        "digest": digest,
-        "state": data,
-    }
+    body = state_bytes(state)
+    digest = hashlib.sha256(body).hexdigest()
+    cursor = None if state.cursor is None else asdict(state.cursor)
+    header = _encode_canonical({"format_version": FORMAT_VERSION, "cursor": cursor, "digest": digest})
+    # The canonical document: "state" sorts after the header's keys, so its
+    # bytes go last, in place of the header's closing brace.
     with open(path, "wb") as handle:
-        handle.write(_encode_canonical(document))
+        handle.writelines((header[:-1], b',"state":', body, b"}"))
     return SnapshotMeta(format_version=FORMAT_VERSION, cursor=state.cursor, digest=digest)
 
 

@@ -1,8 +1,10 @@
 import hashlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from plfkit.engine import state_digest
+from plfkit.engine import TransitionError, apply_event, state_digest
 from plfkit.events import OrderingKey, _encode_canonical, is_valid_address
 from plfkit.fixedpoint import ONE, ZERO, Dec
 from plfkit.model import (
@@ -18,6 +20,7 @@ from plfkit.model import (
     validate_state,
 )
 from streams import ACCT_A, ACCT_B
+from test_analytics import SYMBOLS, books, draw_event
 
 
 def small_state() -> GlobalState:
@@ -162,6 +165,102 @@ class TestSerialization:
         before = state_digest(state)
         state.markets["DAI"].total_borrows += Dec.from_mantissa(1)
         assert state_digest(state) != before
+
+
+# Every leaf state_to_dict writes, each key it writes them under, and the
+# dicts whose keys it writes (each moved whole to a new key by a rekey).
+MARKET_DECIMALS = ("total_borrows", "total_ctoken_supply", "collateral_factor", "borrow_index", "exchange_rate")
+POSITION_DECIMALS = ("ctoken_balance", "borrow_principal", "borrow_index_snapshot")
+LEAF_WRITES = (
+    "cursor", "close_factor", "liquidation_incentive",
+    "asset_symbol", "asset_decimals", "model_id", "model_params", *MARKET_DECIMALS,
+    *POSITION_DECIMALS, "price", "new_participant", "new_market", "new_price",
+)
+REKEYED = ("markets", "participants", "holdings", "prices", "model_params")
+
+
+def write_leaf(data, state: GlobalState) -> None:
+    """One direct write, past the engine, to one leaf of the dict form or
+    to a new participant, market or price."""
+    what = data.draw(st.sampled_from(LEAF_WRITES))
+    value = Dec.from_mantissa(data.draw(st.integers(1, 10 ** 30)))
+    symbol = data.draw(st.sampled_from(sorted(state.markets)))
+    market = state.markets[symbol]
+    if what == "cursor":
+        keys = st.builds(OrderingKey, st.integers(0, 10 ** 6), st.integers(0, 99), st.integers(0, 99))
+        state.cursor = data.draw(st.none() | keys)
+    elif what == "close_factor":  # within [0, 1], so that copy() takes it
+        state.params.close_factor = Dec.from_mantissa(data.draw(st.integers(0, 10 ** 18)))
+    elif what == "liquidation_incentive":
+        state.params.liquidation_incentive = value
+    elif what == "asset_symbol":
+        market.asset = AssetId(data.draw(st.sampled_from(SYMBOLS + ("XYZ",))), market.asset.decimals)
+    elif what == "asset_decimals":
+        market.asset = AssetId(market.asset.symbol, data.draw(st.integers(0, 18)))
+    elif what == "model_id":
+        market.interest_model.model_id = data.draw(st.text(max_size=4))
+    elif what == "model_params":
+        market.interest_model.params[data.draw(st.sampled_from(("base", "slope", "kink")))] = value
+    elif what in MARKET_DECIMALS:
+        setattr(market, what, value)
+    elif what in POSITION_DECIMALS:
+        account = data.draw(st.sampled_from(sorted(state.participants)))
+        setattr(state.participants[account].setdefault(symbol, Position()), what, value)
+    elif what == "price":
+        state.price_table.set(symbol, value)
+    elif what == "new_participant":
+        account = f"0x{data.draw(st.integers(1, 20)):040x}"
+        state.participants[account] = {symbol: Position(value, value, ONE)}
+    elif what == "new_market":
+        state.markets[data.draw(st.sampled_from(("DDD", "EEE")))] = MarketState.listed(symbol, value, value)
+    else:
+        state.price_table.set(data.draw(st.sampled_from(("DDD", "EEE", "FFF"))), value)
+
+
+def rekey(data, state: GlobalState) -> None:
+    """Move the last entry of one keyed dict to a new key: the same values
+    in the same order, so that only the key changes."""
+    where = data.draw(st.sampled_from(REKEYED))
+    symbol = data.draw(st.sampled_from(sorted(state.markets)))
+    mapping = {
+        "markets": state.markets,
+        "participants": state.participants,
+        "holdings": state.participants[data.draw(st.sampled_from(sorted(state.participants)))],
+        "prices": state.price_table.prices,
+        "model_params": state.markets[symbol].interest_model.params,
+    }[where]
+    if mapping:
+        if where == "participants":
+            key = f"0x{data.draw(st.integers(21, 30)):040x}"
+        else:
+            key = data.draw(st.sampled_from(("DDD", "EEE", "FFF")))
+        mapping[key] = mapping.pop(next(reversed(mapping)))
+
+
+class TestStateBytesMemo:
+    """state_digest keeps the last state's bytes under a content key; it must
+    never hand back the bytes of a state that has since changed."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_digest_tracks_every_write(self, data):
+        state = data.draw(books())
+        for _ in range(data.draw(st.integers(1, 16))):
+            step = data.draw(st.sampled_from(("event", "copy", "write", "write", "rekey")))
+            if step == "event" and all(symbol in state.markets for symbol in SYMBOLS):
+                block = 1 if state.cursor is None else state.cursor.block + 1
+                try:
+                    apply_event(state, draw_event(data, state, block))
+                except TransitionError:
+                    pass  # nothing written
+            elif step == "copy":
+                state = state.copy()
+            elif step == "write":
+                write_leaf(data, state)
+            elif step == "rekey":
+                rekey(data, state)
+            expected = hashlib.sha256(_encode_canonical(state_to_dict(state))).hexdigest()
+            assert state_digest(state) == expected
 
 
 class TestValidateState:

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from plfkit import engine, model, snapshots
 from plfkit.cli import main
 from plfkit.engine import replay, state_digest
-from plfkit.events import OrderingKey, _encode_canonical
+from plfkit.events import OrderingKey, _encode_canonical, write_events
 from plfkit.model import GlobalState, state_from_dict, state_to_dict
 from plfkit.snapshots import (
     FORMAT_VERSION,
@@ -198,9 +198,12 @@ class TestWorkDoneOnce:
 
         counted("_read_document", snapshots)
         counted("state_from_dict", snapshots, model)
-        counted("state_to_dict", snapshots, model, engine)
-        counted("dict_digest", snapshots, model, engine)
+        counted("state_to_dict", model)
+        counted("state_bytes", snapshots, model, engine)
+        counted("dict_digest", snapshots, model)
         counted("state_digest", engine)
+        # No state encoded before the test, so that every encoding counts.
+        monkeypatch.setattr(model, "_last_encoded", None)
         return counts
 
     @pytest.fixture
@@ -216,8 +219,29 @@ class TestWorkDoneOnce:
 
     def test_save_builds_the_dict_form_once(self, replayed_state, tmp_path, calls):
         meta = save_snapshot(replayed_state, str(tmp_path / "again.snap"))
-        assert calls == {"state_to_dict": 1, "dict_digest": 1}
+        assert calls == {"state_bytes": 1, "state_to_dict": 1}
         assert meta.digest == state_digest(replayed_state)
+
+    def test_replay_to_snapshot_builds_and_encodes_the_dict_form_once(self, calls, monkeypatch, tmp_path):
+        """The closing digest and the saved document share one encoding."""
+        encoded = Counter()
+        encode = snapshots._encode_canonical
+
+        def counting(data):
+            # The state's dict form, alone or inside a whole document.
+            if isinstance(data, dict) and ("participants" in data or "state" in data):
+                encoded["state"] += 1
+            return encode(data)
+
+        for module in (model, snapshots):
+            monkeypatch.setattr(module, "_encode_canonical", counting)
+        stream = tmp_path / "hand.jsonl"
+        write_events(str(stream), hand_fixture())
+        snap = str(tmp_path / "end.snap")
+        assert main(["replay", "--events", str(stream), "--snapshot-out", snap]) == 0
+        assert calls["state_to_dict"] == 1
+        assert encoded == {"state": 1}
+        assert verify_snapshot(snap).digest == state_digest(replay(GlobalState.fresh(), hand_fixture())[0])
 
     def test_stored_digest_still_checked(self, snap, calls):
         with open(snap) as handle:

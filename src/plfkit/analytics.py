@@ -64,8 +64,9 @@ class EfficiencyTimeline:
 def _seized_value(state: GlobalState, event: EventRecord) -> Dec:
     # Valued after the liquidation is applied, at the exchange rate and
     # price in force when it executes: the event itself changes neither.
-    market = state.markets[event.payload["collateral_market"]]
-    price = state.price_table.get(market.asset.symbol)
+    symbol = event.payload["collateral_market"]
+    market = state.markets[symbol]
+    price = state.price_table.get(symbol)
     return (event.payload["seized_ctokens"] * market.exchange_rate) * price
 
 

@@ -86,15 +86,23 @@ def _read_document(path: str) -> dict:
 def read_snapshot(path: str) -> tuple[GlobalState, SnapshotMeta]:
     """Load a snapshot and its header: one read, one digest.
 
-    The state must decode from its canonical form; then the digest of the
-    stored state must match the stored one, and the header cursor must
-    equal the state's cursor.
+    The state must decode from its canonical form, with each market's
+    asset symbol equal to its key; then the digest of the stored state
+    must match the stored one, and the header cursor must equal the
+    state's cursor.
     """
     document = _read_document(path)
     try:
         state = state_from_dict(document["state"])
     except (TypeError, ValueError, DecOverflowError) as exc:
         raise SnapshotError(f"snapshot state malformed: {exc}") from None
+    # Valuations price a market by its key; its asset must name the same.
+    for symbol, market in state.markets.items():
+        if market.asset.symbol != symbol:
+            raise SnapshotError(
+                f"snapshot state malformed: state['markets'][{symbol!r}]['asset']['symbol'] "
+                f"must be the market's key {symbol!r}, not {market.asset.symbol!r}"
+            )
     # The decoder accepts only what state_to_dict writes, so this is
     # state_digest(state) without building the dict form again.
     actual = dict_digest(document["state"])

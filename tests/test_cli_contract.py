@@ -242,6 +242,10 @@ _MALFORMED_STATES = {
         lambda state: state["markets"]["DAI"]["asset"].update(symbol=5),
         "asset symbol must be a non-empty string",
     ),
+    "symbol-not-key": (
+        lambda state: state["markets"]["DAI"]["asset"].update(symbol="ETH"),
+        "state['markets']['DAI']['asset']['symbol'] must be the market's key 'DAI', not 'ETH'",
+    ),
 }
 
 

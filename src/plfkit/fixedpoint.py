@@ -25,7 +25,8 @@ _DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
 # The canonical grammar: the literals Dec.__str__ writes, one per value. A
 # _DECIMAL literal with no plus sign, no leading zeros, no "-0", and a
 # fraction only when it is nonzero: at most 18 digits, no trailing zeros.
-_CANONICAL_DECIMAL = re.compile(r"(?!-0\Z)-?(?:0|[1-9][0-9]*)(?:\.[0-9]{0,17}[1-9])?")
+# Its groups are the signed whole part and the fraction's digits.
+_CANONICAL_DECIMAL = re.compile(r"(?!-0\Z)(-?(?:0|[1-9][0-9]*))(?:\.([0-9]{0,17}[1-9]))?")
 # 10**(18 - n) scales the digits of a literal with n fractional digits.
 _FRACTION_SCALE = tuple(10 ** (FRACTIONAL_DIGITS - n) for n in range(FRACTIONAL_DIGITS + 1))
 # Digits of the largest whole part the carrier holds; longer ones overflow.
@@ -246,9 +247,17 @@ def parse_canonical(text: object) -> Dec:
     DecParseError; a canonical literal beyond the carrier raises
     DecOverflowError.
     """
-    if type(text) is not str or _CANONICAL_DECIMAL.fullmatch(text) is None:
+    match = _CANONICAL_DECIMAL.fullmatch(text) if type(text) is str else None
+    if match is None:
         raise DecParseError(f"not a canonical decimal literal: {text!r}")
-    return Dec(text)
+    whole, frac = match.groups("")
+    dec = Dec.__new__(Dec)
+    if len(whole) < _MAX_WHOLE_DIGITS:
+        # As in _parse_mantissa: too short to reach the carrier's bound.
+        dec.mantissa = int(whole + frac) * _FRACTION_SCALE[len(frac)]
+    else:
+        dec.mantissa = _parse_mantissa(text)
+    return dec
 
 
 def dec_muldiv(a: Dec, b: Dec, c: Dec) -> Dec:

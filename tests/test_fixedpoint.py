@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from plfkit.fixedpoint import (
     _CANONICAL_DECIMAL,
     _DECIMAL,
+    _MAX_WHOLE_DIGITS,
     MANTISSA_BOUND,
     ONE,
     SCALE,
@@ -177,6 +178,21 @@ class TestRendering:
     def test_parse_canonical_refuses_other_values(self, value):
         with pytest.raises(DecParseError, match="not a canonical decimal literal"):
             parse_canonical(value)
+
+    @pytest.mark.parametrize("sign", [1, -1], ids=["unsigned", "signed"])
+    def test_parse_canonical_at_the_longest_whole_part(self, sign):
+        """Whole parts of _MAX_WHOLE_DIGITS digits, the most the carrier
+        holds: its largest literal parses, the next whole number overflows."""
+        largest = Dec.from_mantissa(sign * (MANTISSA_BOUND - 1))
+        text = str(largest)
+        assert len(text.lstrip("-").partition(".")[0]) == _MAX_WHOLE_DIGITS
+        assert parse_canonical(text) == largest
+        shortest = sign * 10 ** (_MAX_WHOLE_DIGITS - 1)
+        assert parse_canonical(str(shortest)) == Dec(shortest)
+        beyond = str(sign * (MANTISSA_BOUND // SCALE + 1))
+        assert len(beyond.lstrip("-")) == _MAX_WHOLE_DIGITS
+        with pytest.raises(DecOverflowError):
+            parse_canonical(beyond)
 
 
 class TestArithmetic:

@@ -247,6 +247,7 @@ class TestStateBytesMemo:
         state = data.draw(books())
         for _ in range(data.draw(st.integers(1, 16))):
             step = data.draw(st.sampled_from(("event", "copy", "write", "write", "rekey")))
+            # draw_event needs the book's three markets, which a rekey may move.
             if step == "event" and all(symbol in state.markets for symbol in SYMBOLS):
                 block = 1 if state.cursor is None else state.cursor.block + 1
                 try:

@@ -239,7 +239,8 @@ class TestWorkDoneOnce:
         write_events(str(stream), hand_fixture())
         snap = str(tmp_path / "end.snap")
         assert main(["replay", "--events", str(stream), "--snapshot-out", snap]) == 0
-        assert calls["state_to_dict"] == 1
+        # One digest and one save ask for the bytes; only the first builds them.
+        assert calls == {"state_digest": 1, "state_bytes": 2, "state_to_dict": 1}
         assert encoded == {"state": 1}
         assert verify_snapshot(snap).digest == state_digest(replay(GlobalState.fresh(), hand_fixture())[0])
 

@@ -134,6 +134,101 @@ def test_bad_stream(capsys, tmp_path, command, stream):
     assert not (tmp_path / "never.snap").exists()
 
 
+# A line that ends before its object does: the stream's parse error, which
+# outranks every other failure of a stream command.
+_TRUNCATED = '{"block": 99, "tx_index": 0'
+_OVERDRAWN = _STREAMS["overdrawn-redeem"][0]
+_OUT_OF_ORDER = hand_fixture()[:5] + [
+    make_event(1, 0, 0, "PriceUpdate", "DAI", price_usd=Dec(2)),
+]
+
+
+def _write_stream(path, events, *lines):
+    """``events`` as JSONL, followed by ``lines`` as they are."""
+    write_events(str(path), events)
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.writelines(line + "\n" for line in lines)
+    return path
+
+
+def _stream_argv(command, path, tmp_path):
+    argv = [part.format(tmp=tmp_path) for part in _STREAM_COMMANDS[command]]
+    head = 2 if argv[0] == "snapshot" else 1
+    return argv[:head] + ["--events", str(path)] + argv[head:]
+
+
+# Each stream fails twice; the later failure, below the earlier one's rank,
+# must be the one reported: a malformed line anywhere, then a key-order
+# violation, then a transition error.
+_PRECEDENCE = {
+    "malformed-line-beats-earlier-overdraw": (
+        _OVERDRAWN, [_TRUNCATED], "{path}: line 7: invalid JSON: Expecting ',' delimiter",
+    ),
+    "malformed-line-beats-earlier-order-violation": (
+        _OUT_OF_ORDER, [_TRUNCATED], "{path}: line 7: invalid JSON: Expecting ',' delimiter",
+    ),
+    "order-violation-beats-earlier-overdraw": (
+        _OVERDRAWN + [make_event(1, 9, 0, "PriceUpdate", "DAI", price_usd=Dec(2))], [],
+        "{path}: event 6 key OrderingKey(block=1, tx_index=9, log_index=0) does not follow "
+        "OrderingKey(block=2, tx_index=0, log_index=0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PRECEDENCE))
+@pytest.mark.parametrize("command", sorted(_STREAM_COMMANDS))
+def test_later_stream_error_outranks_earlier_failure(capsys, tmp_path, command, case):
+    events, lines, expected = _PRECEDENCE[case]
+    path = _write_stream(tmp_path / "bad.jsonl", events, *lines)
+    code, out, err = _run(capsys, _stream_argv(command, path, tmp_path))
+    _assert_one_error_line(code, out, err)
+    assert err == "error: " + expected.format(path=path) + "\n"
+    assert not (tmp_path / "never.snap").exists()
+
+
+@pytest.mark.parametrize("command", sorted(c for c in _STREAM_COMMANDS if c != "timeseries"))
+def test_malformed_line_beyond_the_at_block_cut(capsys, tmp_path, command):
+    path = _write_stream(tmp_path / "bad.jsonl", hand_fixture(), _TRUNCATED)
+    argv = _stream_argv(command, path, tmp_path)
+    code, out, err = _run(capsys, argv + ["--at-block", "1"])
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: {path}: line 21: invalid JSON: Expecting ',' delimiter\n"
+
+
+@pytest.mark.parametrize("case", [
+    "malformed-line-beats-earlier-order-violation", "order-violation-beats-earlier-overdraw",
+])
+def test_bad_stream_outranks_tampered_snapshot_in(capsys, tmp_path, case):
+    def edit(document):
+        document["state"]["params"]["close_factor"] = "0.6"
+
+    _, snap = _edited_hand_snapshot(capsys, tmp_path, edit)
+    events, lines, expected = _PRECEDENCE[case]
+    path = _write_stream(tmp_path / "bad.jsonl", events, *lines)
+    code, out, err = _run(capsys, ["replay", "--snapshot-in", str(snap), "--events", str(path)])
+    _assert_one_error_line(code, out, err)
+    assert err == "error: " + expected.format(path=path) + "\n"
+
+
+def test_malformed_line_outranks_timeseries_first_sample(capsys, tmp_path):
+    # ETH is minted in block 1 before any price: the first sample cannot be valued.
+    events = [
+        make_event(1, 0, 0, "MarketListed", "ETH",
+                   initial_exchange_rate=Dec("0.05"), initial_collateral_factor=Dec("0.6")),
+        make_event(1, 1, 0, "Mint", "ETH", account=ACCT_A,
+                   amount_underlying=Dec(5), amount_ctokens=Dec(100)),
+        make_event(2, 0, 0, "PriceUpdate", "ETH", price_usd=Dec(100)),
+    ]
+    valid = _write_stream(tmp_path / "unpriced.jsonl", events)
+    code, out, err = _run(capsys, ["timeseries", "--events", str(valid)])
+    _assert_one_error_line(code, out, err)
+    assert err == "error: no price recorded for asset 'ETH'\n"
+    path = _write_stream(tmp_path / "bad.jsonl", events, _TRUNCATED)
+    code, out, err = _run(capsys, ["timeseries", "--events", str(path)])
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: {path}: line 4: invalid JSON: Expecting ',' delimiter\n"
+
+
 @pytest.mark.parametrize("stream", sorted(_VALUATION_FAILURES))
 def test_efficiency_valuation_failure(capsys, tmp_path, stream):
     events, expected = _VALUATION_FAILURES[stream]

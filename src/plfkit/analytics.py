@@ -13,17 +13,17 @@ sums where they prove every check of a full valuation passes. So the sign
 and every failure are exactly those of a full valuation. Full
 re-evaluation values every account with account_health after every event,
 without the cache: it is the uncached cross-check (the oracle-test mode).
-funds_time_series folds the stream up to each sample block and values the
-markets' supplied and borrowed USD on int mantissas, with Dec's truncation
-order and carrier checks, wrapping the sums in Dec once per row. A sample
-that no event reached since the previous one repeats that row's values.
+funds_time_series folds the stream in one pass and values each sample block
+before the first event beyond it applies: the markets' supplied and
+borrowed USD on int mantissas, with Dec's truncation order and carrier
+checks, wrapping the sums in Dec once per row. A sample that no event
+reached since the previous one repeats that row's values.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Iterator, Literal
 
 from .engine import ReplayReport, _fold, _warn
 from .events import EventRecord, OrderingKey
@@ -281,7 +281,7 @@ def _funds_row(state: GlobalState, block: int) -> FundsRow:
 
 
 def funds_time_series(
-    state: GlobalState, events: Sequence[EventRecord], stride: int = 1
+    state: GlobalState, events: Iterable[EventRecord], stride: int = 1
 ) -> tuple[list[FundsRow], list[str]]:
     """Supplied / borrowed / locked USD sampled every ``stride`` blocks,
     with the engine's warnings.
@@ -294,20 +294,37 @@ def funds_time_series(
     """
     if stride < 1:
         raise ValueError("stride must be at least 1")
-    if not events:
-        return [FundsRow(0, ZERO, ZERO, ZERO)], []
-
-    # Keys strictly increase, so blocks are sorted. The first sample is
-    # the first event's block, so its slice is never empty.
-    blocks = [e.key.block for e in events]
     report = ReplayReport()
     rows: list[FundsRow] = []
-    for sample in [*range(blocks[0], blocks[-1], stride), blocks[-1]]:
-        end = bisect_right(blocks, sample, report.events_applied)
-        if end > report.events_applied:
-            _fold(state, events[report.events_applied : end], report)
-            row = _funds_row(state, sample)
+    valued = 0  # events applied when the last row was valued
+    sample = last = None  # the next sample block, and the last event's
+
+    def row_at(block: int) -> None:
+        nonlocal valued
+        if report.events_applied > valued:
+            rows.append(_funds_row(state, block))
+            valued = report.events_applied
         else:
-            row = FundsRow(sample, row.supplied_usd, row.borrowed_usd, row.locked_usd)
-        rows.append(row)
+            row = rows[-1]
+            rows.append(FundsRow(block, row.supplied_usd, row.borrowed_usd, row.locked_usd))
+
+    def sampled() -> Iterator[EventRecord]:
+        # One pass: a sample is valued once an event beyond it arrives, so
+        # before that event applies. Keys strictly increase, so blocks are
+        # sorted; the first sample is the first event's block, so its slice
+        # is never empty.
+        nonlocal sample, last
+        for event in events:
+            last = event.key.block
+            if sample is None:
+                sample = last
+            while last > sample:
+                row_at(sample)
+                sample += stride
+            yield event
+
+    _fold(state, sampled(), report)
+    if last is None:
+        return [FundsRow(0, ZERO, ZERO, ZERO)], []
+    row_at(last)  # the final block, known only at the end of the stream
     return rows, report.warnings

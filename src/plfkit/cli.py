@@ -22,15 +22,25 @@ import csv
 import io
 import json
 import sys
-from bisect import bisect_right
-from typing import Any, Iterable, Sequence
+from itertools import dropwhile
+from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import __version__
-from .engine import ReplayError, ReplayReport, TransitionError, replay
-from .events import EventParseError, EventRecord, StreamOrderError, _parse_json, read_events
+from .engine import ReplayError, ReplayReport, TransitionError, _fold, replay
+from .events import (
+    EventParseError,
+    EventRecord,
+    StreamOrderError,
+    _collector_paused,
+    _parse_json,
+    iter_events,
+)
 from .fixedpoint import ONE, ZERO, Dec, DecOverflowError, DecParseError
 from .model import GlobalState, MissingPriceError
 from .snapshots import SnapshotError, load_snapshot, read_snapshot, save_snapshot, verify_snapshot
+
+
+T = TypeVar("T")
 
 
 class CliError(Exception):
@@ -96,18 +106,46 @@ def _shock_list(text: str) -> list[Dec]:
 # -- State loading and output formatting --------------------------------------
 
 
-def _read_stream(path: str, at_block: int | None = None) -> list[EventRecord]:
-    """The whole stream, or its events with block <= at_block."""
+def _events(path: str, at_block: int | None) -> Iterator[EventRecord]:
+    """The stream's events with block <= at_block (all if None), read to
+    the end of the file; a reader error becomes the command's error."""
     try:
-        events = read_events(path)
+        for event in iter_events(path):
+            if at_block is None or event.key.block <= at_block:
+                yield event
     except OSError as exc:
         raise CliError(f"cannot read events from {path}: {exc.strerror or exc}") from None
     except (EventParseError, StreamOrderError) as exc:
         raise CliError(f"{path}: {exc}") from None
-    if at_block is not None:
-        # read_events guarantees strictly increasing keys, so blocks are sorted.
-        events = events[: bisect_right(events, at_block, key=lambda e: e.key.block)]
-    return events
+
+
+def _fold_stream(
+    path: str,
+    fold: Callable[[GlobalState, Iterator[EventRecord]], T],
+    at_block: int | None = None,
+    start: Callable[[], GlobalState] = GlobalState.fresh,
+) -> T:
+    """fold(state, events) in one pass over the stream at path, from the
+    state start() returns; events at or before its cursor are skipped.
+
+    No event list is held, and the whole file is always read: fold reads
+    its events to the end, as engine._fold does, and _events reads past the
+    --at-block cut. When start(), fold or a valuation inside it fails, the
+    rest of the stream is read before the failure propagates, so that the
+    stream's own errors win: a malformed line anywhere, then a key-order
+    violation, then a snapshot error, then a transition or valuation error.
+    """
+    stream = _events(path, at_block)
+    with _collector_paused():
+        try:
+            state = start()
+            cursor = state.cursor
+            events = stream if cursor is None else dropwhile(lambda event: event.key <= cursor, stream)
+            return fold(state, events)
+        except Exception:
+            for _ in stream:
+                pass
+            raise
 
 
 def _load_snapshot(path: str) -> GlobalState:
@@ -122,17 +160,25 @@ def _print_warnings(warnings: Iterable[str]) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
-def _replay(state: GlobalState, events: list[EventRecord]) -> tuple[GlobalState, ReplayReport]:
+def _replay(state: GlobalState, events: Iterable[EventRecord]) -> tuple[GlobalState, ReplayReport]:
     """replay, with its warnings printed on stderr."""
     state, report = replay(state, events)
     _print_warnings(report.warnings)
     return state, report
 
 
+def _apply_all(state: GlobalState, events: Iterable[EventRecord]) -> GlobalState:
+    """_replay without the digest, for commands that do not report one."""
+    report = ReplayReport()
+    _fold(state, events, report)
+    _print_warnings(report.warnings)
+    return state
+
+
 def _state_from_args(args: argparse.Namespace) -> GlobalState:
     if args.snapshot:
         return _load_snapshot(args.snapshot)
-    return _replay(GlobalState.fresh(), _read_stream(args.events, args.at_block))[0]
+    return _fold_stream(args.events, _apply_all, args.at_block)
 
 
 def _write_rows(args: argparse.Namespace, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -172,12 +218,8 @@ def _cursor_cells(cursor) -> tuple[Any, Any, Any]:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    # The stream is read first, so that its errors win over the snapshot's.
-    events = _read_stream(args.events, args.at_block)
-    state = _load_snapshot(args.snapshot_in) if args.snapshot_in else GlobalState.fresh()
-    if state.cursor is not None:
-        events = events[bisect_right(events, state.cursor, key=lambda e: e.key) :]
-    _, report = _replay(state, events)
+    start = (lambda: _load_snapshot(args.snapshot_in)) if args.snapshot_in else GlobalState.fresh
+    state, report = _fold_stream(args.events, _replay, args.at_block, start)
     if args.snapshot_out:
         save_snapshot(state, args.snapshot_out)
     _write_rows(
@@ -222,8 +264,11 @@ def cmd_sensitivity(args: argparse.Namespace) -> int:
 def cmd_efficiency(args: argparse.Namespace) -> int:
     from .analytics import efficiency_cdf, track_efficiency
 
-    events = _read_stream(args.events, args.at_block)
-    timeline = track_efficiency(GlobalState.fresh(), events, full_reeval=args.full_reeval)
+    timeline = _fold_stream(
+        args.events,
+        lambda state, events: track_efficiency(state, events, full_reeval=args.full_reeval),
+        args.at_block,
+    )
     _print_warnings(timeline.warnings)
     _write_records(args, ("blocks", "cumulative_fraction"), efficiency_cdf(timeline, weighting=args.weighting))
     return 0
@@ -244,7 +289,9 @@ def cmd_concentration(args: argparse.Namespace) -> int:
 def cmd_timeseries(args: argparse.Namespace) -> int:
     from .analytics import funds_time_series
 
-    rows, warnings = funds_time_series(GlobalState.fresh(), _read_stream(args.events), stride=args.stride)
+    rows, warnings = _fold_stream(
+        args.events, lambda state, events: funds_time_series(state, events, stride=args.stride)
+    )
     _print_warnings(warnings)
     _write_records(args, ("block", "supplied_usd", "borrowed_usd", "locked_usd"), rows)
     return 0
@@ -299,7 +346,7 @@ def _snapshot_row(args: argparse.Namespace, path: str, meta) -> None:
 
 
 def cmd_snapshot_save(args: argparse.Namespace) -> int:
-    state, _ = _replay(GlobalState.fresh(), _read_stream(args.events, args.at_block))
+    state = _fold_stream(args.events, _apply_all, args.at_block)
     meta = save_snapshot(state, args.out_path)
     _snapshot_row(args, args.out_path, meta)
     return 0

@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import json
 import re
+from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from types import UnionType
@@ -421,7 +422,17 @@ def serialize_event(event: EventRecord) -> str:
 
 
 def iter_events(path: str) -> Iterator[EventRecord]:
-    """Stream events from a JSONL file; blank lines are rejected."""
+    """Stream events from a JSONL file, enforcing strict ordering.
+
+    A blank line or a line that does not parse raises EventParseError at
+    once. Every key must exceed the one before it, compared as raw
+    (block, tx_index, log_index) triples; a violation does not stop the
+    stream, but is raised as StreamOrderError once the whole file has
+    parsed, so a parse error on any line takes precedence.
+    """
+    violation = None
+    previous: tuple[int, ...] = ()  # sorts before every triple
+    previous_key = None
     line_number = 0
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -429,44 +440,41 @@ def iter_events(path: str) -> Iterator[EventRecord]:
                 stripped = line.strip()
                 if not stripped:
                     raise EventParseError("blank line", line_number=line_number)
-                yield parse_event_line(stripped, line_number=line_number)
+                event = parse_event_line(stripped, line_number=line_number)
+                key = event.key
+                current = (key.block, key.tx_index, key.log_index)
+                if current <= previous and violation is None:
+                    # No line is blank, so the event's index is its line's.
+                    violation = f"event {line_number - 1} key {key} does not follow {previous_key}"
+                previous, previous_key = current, key
+                yield event
         except UnicodeDecodeError as exc:
             # The file is decoded a chunk at a time, and the chunk that failed
             # starts at the line after the last one read.
             line_number += 1 + exc.object.count(b"\n", 0, exc.start)
             raise EventParseError(f"not UTF-8 text: {exc.reason}", line_number=line_number) from None
+    if violation is not None:
+        raise StreamOrderError(violation)
 
 
-def read_events(path: str) -> list[EventRecord]:
-    """Load a whole JSONL stream, enforcing strict ordering.
-
-    Every key must exceed the one before it, compared as raw
-    (block, tx_index, log_index) triples. The check runs as lines are
-    parsed, but a violation is raised only once the whole file has
-    parsed: a parse error on any line takes precedence.
-    """
-    events: list[EventRecord] = []
-    violation = None
-    previous: tuple[int, ...] = ()  # sorts before every triple
-    previous_key = None
-    # Parsing builds no reference cycles, so the cycle collector has nothing
-    # to find here; paused, it stops rescanning the growing list.
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cycle collector for a parse or a fold. They build no
+    reference cycles, so it has nothing to find; paused, it stops
+    rescanning the growing list or state."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        for event in iter_events(path):
-            key = event.key
-            current = (key.block, key.tx_index, key.log_index)
-            if current <= previous and violation is None:
-                violation = f"event {len(events)} key {key} does not follow {previous_key}"
-            previous, previous_key = current, key
-            events.append(event)
+        yield
     finally:
         if collecting:
             gc.enable()
-    if violation is not None:
-        raise StreamOrderError(violation)
-    return events
+
+
+def read_events(path: str) -> list[EventRecord]:
+    """Load a whole JSONL stream: the events of :func:`iter_events`."""
+    with _collector_paused():
+        return list(iter_events(path))
 
 
 def write_events(path: str, events: Iterable[EventRecord]) -> int:

@@ -17,7 +17,8 @@ from plfkit.engine import (
     replay,
     state_digest,
 )
-from plfkit.events import EventRecord, OrderingKey
+from plfkit.cli import main
+from plfkit.events import EventRecord, OrderingKey, write_events
 from plfkit.fixedpoint import MANTISSA_BOUND, ONE, ZERO, Dec
 from plfkit.model import GlobalState, Position, validate_state
 from streams import ACCT_A, ACCT_B, ACCT_C, HAND_FINAL, hand_fixture, make_event
@@ -613,6 +614,25 @@ def test_analytics_folds_take_no_digest(monkeypatch):
     assert len(track_efficiency(GlobalState.fresh(), hand_fixture()).liquidations) == 1
     rows, warnings = funds_time_series(GlobalState.fresh(), hand_fixture())
     assert (len(rows), warnings) == (13, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["liquidable"],
+    ["sensitivity", "--asset", "ETH", "--shocks", "0,0.5"],
+    ["concentration", "--side", "borrow"],
+    ["efficiency"],
+    ["timeseries"],
+], ids=lambda argv: argv[0])
+def test_stream_commands_take_no_digest(monkeypatch, tmp_path, argv):
+    """Only replay reports a digest: the other commands that fold
+    --events never compute one."""
+    def refuse(state):
+        raise AssertionError("state_digest called")
+
+    stream = tmp_path / "hand.jsonl"
+    write_events(str(stream), hand_fixture())
+    monkeypatch.setattr(plfkit.engine, "state_digest", refuse)
+    assert main(argv + ["--events", str(stream)]) == 0
 
 
 # -- Random streams with injected bad events ------------------------------------

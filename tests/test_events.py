@@ -228,6 +228,23 @@ class TestStreamOrder:
         with pytest.raises(StreamOrderError, match=rf"^event {len(events) - 1} key "):
             self._read(tmp_path, events)
 
+    def test_stream_yields_every_event_before_the_violation_is_raised(self, tmp_path):
+        """The streaming reader keeps going past a violation and raises it
+        only at the end of the file, with read_events' text."""
+        events = hand_fixture()
+        events[3], events[4] = events[4], events[3]
+        path = tmp_path / "stream.jsonl"
+        write_events(str(path), events)
+        stream = iter_events(str(path))
+        seen = [next(stream) for _ in events]
+        assert seen == events
+        with pytest.raises(StreamOrderError) as streamed:
+            next(stream)
+        with pytest.raises(StreamOrderError) as listed:
+            read_events(str(path))
+        assert str(streamed.value) == str(listed.value)
+        assert str(streamed.value).startswith("event 4 key ")
+
 
 class TestFileIO:
     def test_write_read_round_trip(self, tmp_path):

@@ -227,6 +227,33 @@ class TestArithmetic:
         with pytest.raises(TypeError):
             Dec(1) + 0.5
 
+    def test_bool_operands_rejected(self):
+        with pytest.raises(TypeError):
+            Dec(1) + True
+        with pytest.raises(TypeError):
+            True + Dec(1)
+        assert (Dec(1) == True) is False  # noqa: E712
+
+    def test_mixed_operands(self):
+        assert Dec(2) == 2
+        assert 2 < Dec(3)
+        assert 3 + Dec(1) == Dec(4)
+        assert (Dec(1) == 1.0) is False
+        assert (Dec(1) != 1.0) is True
+
+    @pytest.mark.parametrize("a,b", list(product(
+        [MANTISSA_BOUND - 1, MANTISSA_BOUND - 2, -(MANTISSA_BOUND - 1), -(MANTISSA_BOUND - 2)],
+        [0, 1, 2, -1, -2, MANTISSA_BOUND - 1, -(MANTISSA_BOUND - 1)],
+    )))
+    def test_add_sub_at_the_carrier(self, a, b):
+        x, y = Dec.from_mantissa(a), Dec.from_mantissa(b)
+        for op, exact_result in ((lambda p, q: p + q, a + b), (lambda p, q: p - q, a - b)):
+            if -MANTISSA_BOUND < exact_result < MANTISSA_BOUND:
+                assert op(x, y).mantissa == exact_result
+            else:
+                with pytest.raises(DecOverflowError):
+                    op(x, y)
+
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             Dec(1) / ZERO

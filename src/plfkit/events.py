@@ -421,11 +421,16 @@ def serialize_event(event: EventRecord) -> str:
     return _encode_canonical(event_to_obj(event)).decode("ascii")
 
 
+# What a line may be padded with: JSON's whitespace, not str.strip()'s,
+# which would also take NBSP, form feed or U+3000 off a malformed line.
+_JSON_WHITESPACE = " \t\r\n"
+
+
 def iter_events(path: str) -> Iterator[EventRecord]:
     """Stream events from a JSONL file, enforcing strict ordering.
 
-    A blank line or a line that does not parse raises EventParseError at
-    once. Every key must exceed the one before it, compared as raw
+    A line is read without its JSON whitespace padding; a blank line or a
+    line that does not parse raises EventParseError at once. Every key must exceed the one before it, compared as raw
     (block, tx_index, log_index) triples; a violation does not stop the
     stream, but is raised as StreamOrderError once the whole file has
     parsed, so a parse error on any line takes precedence.
@@ -437,7 +442,7 @@ def iter_events(path: str) -> Iterator[EventRecord]:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             for line_number, line in enumerate(handle, start=1):
-                stripped = line.strip()
+                stripped = line.strip(_JSON_WHITESPACE)
                 if not stripped:
                     raise EventParseError("blank line", line_number=line_number)
                 event = parse_event_line(stripped, line_number=line_number)

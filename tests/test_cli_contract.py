@@ -12,7 +12,7 @@ import json
 import pytest
 
 from plfkit.cli import main
-from plfkit.events import write_events
+from plfkit.events import serialize_event, write_events
 from plfkit.fixedpoint import Dec
 from plfkit.scenarios import ConcentrationPlan, default_spec, spec_to_dict
 from streams import ACCT_A, ACCT_B, hand_fixture, make_event
@@ -227,6 +227,15 @@ def test_malformed_line_outranks_timeseries_first_sample(capsys, tmp_path):
     code, out, err = _run(capsys, ["timeseries", "--events", str(path)])
     _assert_one_error_line(code, out, err)
     assert err == f"error: {path}: line 4: invalid JSON: Expecting ',' delimiter\n"
+
+
+def test_line_padded_with_non_json_whitespace(capsys, tmp_path):
+    # str.strip() would take the NBSPs off; json.loads does not.
+    padded = "\u00a0" + serialize_event(hand_fixture()[5]) + "\u00a0"
+    path = _write_stream(tmp_path / "bad.jsonl", hand_fixture()[:5], padded)
+    code, out, err = _run(capsys, ["replay", "--events", str(path)])
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: {path}: line 6: invalid JSON: Expecting value\n"
 
 
 @pytest.mark.parametrize("stream", sorted(_VALUATION_FAILURES))

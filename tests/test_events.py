@@ -432,6 +432,38 @@ class TestErrorTable:
         assert excinfo.value.field == "amount_underlying"
 
 
+class TestLinePadding:
+    """A stream line may be padded only with JSON whitespace: space, tab,
+    CR and LF."""
+
+    @pytest.mark.parametrize("pad", ["\u00a0", "\x0c", "\x0b", "\u3000"])
+    def test_other_whitespace_is_invalid_json(self, tmp_path, pad):
+        padded = pad + line(MINT, block=4) + pad
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(padded)
+        path = tmp_path / "stream.jsonl"
+        path.write_text(line(MINT) + "\n" + padded + "\n", encoding="utf-8")
+        with pytest.raises(EventParseError) as excinfo:
+            list(iter_events(str(path)))
+        assert str(excinfo.value) == f"line 2: invalid JSON: {expected.value.msg}"
+        assert excinfo.value.line_number == 2
+        assert excinfo.value.field is None
+
+    @pytest.mark.parametrize("pad", [" ", "\t", " \t  "])
+    def test_json_whitespace_padding_parses(self, tmp_path, pad):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(pad + line(MINT) + pad + "\n", encoding="utf-8")
+        assert read_events(str(path)) == [parse_event_line(line(MINT))]
+
+    @pytest.mark.parametrize("blank", [" ", "    ", " \t "])
+    def test_line_of_json_whitespace_is_blank(self, tmp_path, blank):
+        path = tmp_path / "stream.jsonl"
+        path.write_text(line(MINT) + "\n" + blank + "\n", encoding="utf-8")
+        with pytest.raises(EventParseError) as excinfo:
+            list(iter_events(str(path)))
+        assert str(excinfo.value) == "line 2: blank line"
+
+
 class TestRejectionRegressions:
     """Inputs that once escaped the parser as other exception types or parsed."""
 

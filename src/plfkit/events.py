@@ -18,18 +18,26 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache
+from functools import cache, lru_cache
 from types import UnionType
-from typing import Any, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
-from .fixedpoint import SCALE, Dec
+from .fixedpoint import MANTISSA_BOUND, SCALE, Dec, _parse_mantissa
 
 _ADDRESS = re.compile("0x[0-9a-f]{40}")
 
 
 def is_valid_address(text: object) -> bool:
     """42-character lowercase 0x-prefixed hex account identifier."""
-    return isinstance(text, str) and _ADDRESS.fullmatch(text) is not None
+    return isinstance(text, str) and _is_address(text)
+
+
+# A stream names the same accounts line after line, so each distinct
+# string is matched once; the bound keeps a stream of endless new accounts
+# from growing the cache without limit.
+@lru_cache(maxsize=1 << 16)
+def _is_address(text: str) -> bool:
+    return _ADDRESS.fullmatch(text) is not None
 
 
 class EventParseError(ValueError):
@@ -50,7 +58,7 @@ class StreamOrderError(ValueError):
     """Event keys are not strictly increasing."""
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class OrderingKey:
     """Total order over events: block, then tx index, then log index."""
 
@@ -65,7 +73,7 @@ class OrderingKey:
                 raise ValueError(f"{name} must be a non-negative integer")
 
 
-@dataclass
+@dataclass(slots=True)
 class EventRecord:
     """One normalized protocol event.
 
@@ -83,46 +91,37 @@ class EventRecord:
 
 # Field specs per kind: (name, checker). Checkers parse/validate a raw JSON
 # value and return the normalized one, raising ValueError (or the
-# ArithmeticError of an amount beyond the carrier) on bad input. Range
-# checks compare mantissas directly.
+# ArithmeticError of an amount beyond the carrier) on bad input.
 
 
-def _dec(raw: object) -> Dec:
-    if not isinstance(raw, str):
-        raise ValueError("expected a decimal string")
-    return Dec(raw)
+def _decimal(low: int, high: int, message: str) -> Callable[[object], Dec]:
+    """The checker of a decimal string whose mantissa lies in [low, high];
+    ``message`` is its error for a value outside. It builds its Dec from
+    the mantissa it has checked, in one frame per value."""
+
+    def check(raw: object) -> Dec:
+        if not isinstance(raw, str):
+            raise ValueError("expected a decimal string")
+        mantissa = _parse_mantissa(raw)
+        if not low <= mantissa <= high:
+            raise ValueError(message)
+        value = _new(Dec)
+        value.mantissa = mantissa
+        return value
+
+    return check
 
 
-def _dec_nonneg(raw: object) -> Dec:
-    value = _dec(raw)
-    if value.mantissa < 0:
-        raise ValueError("amount must be non-negative")
-    return value
-
-
-def _dec_positive(raw: object) -> Dec:
-    value = _dec(raw)
-    if value.mantissa <= 0:
-        raise ValueError("value must be positive")
-    return value
-
-
-def _dec_fraction(raw: object) -> Dec:
-    value = _dec(raw)
-    if not 0 <= value.mantissa <= SCALE:
-        raise ValueError("factor must lie in [0, 1]")
-    return value
-
-
-def _dec_index(raw: object) -> Dec:
-    value = _dec(raw)
-    if value.mantissa < SCALE:
-        raise ValueError("index must be at least 1")
-    return value
+# _dec's range is the carrier's, which every mantissa lies inside.
+_dec = _decimal(-MANTISSA_BOUND, MANTISSA_BOUND, "")
+_dec_nonneg = _decimal(0, MANTISSA_BOUND, "amount must be non-negative")
+_dec_positive = _decimal(1, MANTISSA_BOUND, "value must be positive")
+_dec_fraction = _decimal(0, SCALE, "factor must lie in [0, 1]")
+_dec_index = _decimal(SCALE, MANTISSA_BOUND, "index must be at least 1")
 
 
 def _account(raw: object) -> str:
-    if not is_valid_address(raw):
+    if not isinstance(raw, str) or not _is_address(raw):
         raise ValueError("expected a 42-character lowercase 0x hex address")
     return raw  # type: ignore[return-value]
 
@@ -242,8 +241,12 @@ _DECODING = {
     for kind, (market_field, fields) in _SCHEMAS.items()
 }
 
-_new_key = object.__new__
-_set_attr = object.__setattr__
+_new = object.__new__
+# The setters of OrderingKey's slots: each writes one field of a new key,
+# as the frozen dataclass's own __init__ does through object.__setattr__.
+_set_block = OrderingKey.block.__set__
+_set_tx_index = OrderingKey.tx_index.__set__
+_set_log_index = OrderingKey.log_index.__set__
 
 
 def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> EventRecord:
@@ -256,20 +259,22 @@ def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> Even
     if not isinstance(obj, dict):
         raise EventParseError("event must be a JSON object", line_number=line_number)
 
-    for name in _KEY_FIELDS:
-        raw = obj.get(name)
-        if type(raw) is not int or raw < 0:  # else a plain non-negative int
+    block, tx_index, log_index = obj.get("block"), obj.get("tx_index"), obj.get("log_index")
+    if (type(block) is not int or type(tx_index) is not int or type(log_index) is not int
+            or block < 0 or tx_index < 0 or log_index < 0):  # else three plain non-negative ints
+        for name in _KEY_FIELDS:
             if name not in obj:
                 raise EventParseError("missing ordering field", line_number=line_number, field=name)
+            raw = obj[name]
             if not isinstance(raw, int) or isinstance(raw, bool) or raw < 0:
                 raise EventParseError(
                     "must be a non-negative integer", line_number=line_number, field=name
                 )
     # The triple is checked; build the key without checking it again.
-    key = _new_key(OrderingKey)
-    _set_attr(key, "block", obj["block"])
-    _set_attr(key, "tx_index", obj["tx_index"])
-    _set_attr(key, "log_index", obj["log_index"])
+    key = _new(OrderingKey)
+    _set_block(key, block)
+    _set_tx_index(key, tx_index)
+    _set_log_index(key, log_index)
 
     kind = obj.get("kind")
     if kind is None:
@@ -296,7 +301,12 @@ def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> Even
     except (ValueError, ArithmeticError) as exc:
         raise EventParseError(str(exc), line_number=line_number, field=name) from None
 
-    return EventRecord(key, kind, market, payload)
+    event = _new(EventRecord)
+    event.key = key
+    event.kind = kind
+    event.market = market
+    event.payload = payload
+    return event
 
 
 def _parse_json(text: str | bytes) -> Any:

@@ -20,8 +20,9 @@ FRACTIONAL_DIGITS = 18
 MANTISSA_BOUND = 2 ** 255
 
 # The whole decimal grammar. Character classes, not \d, so that only ASCII
-# digits match; fullmatch, not $, so that nothing may follow.
-_DECIMAL = re.compile(r"[+-]?[0-9]+(?:\.[0-9]+)?")
+# digits match; fullmatch, not $, so that nothing may follow. Its groups are
+# the signed whole part and the fraction's digits.
+_DECIMAL = re.compile(r"([+-]?[0-9]+)(?:\.([0-9]+))?")
 # The canonical grammar: the literals Dec.__str__ writes, one per value. A
 # _DECIMAL literal with no plus sign, no leading zeros, no "-0", and a
 # fraction only when it is nonzero: at most 18 digits, no trailing zeros.
@@ -31,6 +32,7 @@ _CANONICAL_DECIMAL = re.compile(r"(?!-0\Z)(-?(?:0|[1-9][0-9]*))(?:\.([0-9]{0,17}
 _FRACTION_SCALE = tuple(10 ** (FRACTIONAL_DIGITS - n) for n in range(FRACTIONAL_DIGITS + 1))
 # Digits of the largest whole part the carrier holds; longer ones overflow.
 _MAX_WHOLE_DIGITS = len(str(MANTISSA_BOUND // SCALE))
+_OVERFLOW = "mantissa exceeds the signed 256-bit carrier"
 
 
 class DecOverflowError(ArithmeticError):
@@ -44,8 +46,8 @@ class DecParseError(ValueError):
 
 def checked(mantissa: int) -> int:
     """The mantissa itself, once it is known to fit the carrier."""
-    if not -MANTISSA_BOUND < mantissa < MANTISSA_BOUND:
-        raise DecOverflowError("mantissa exceeds the signed 256-bit carrier")
+    if abs(mantissa) >= MANTISSA_BOUND:
+        raise DecOverflowError(_OVERFLOW)
     return mantissa
 
 
@@ -79,9 +81,10 @@ def trunc_muldiv(a: int, b: int, c: int) -> int:
 
 def _parse_mantissa(text: str) -> int:
     """Mantissa of a decimal literal, checked against the carrier."""
-    if _DECIMAL.fullmatch(text) is None:
+    match = _DECIMAL.fullmatch(text)
+    if match is None:
         raise DecParseError(f"not a decimal literal: {text!r}")
-    whole, _, frac = text.partition(".")
+    whole, frac = match.groups("")
     if len(frac) > FRACTIONAL_DIGITS:
         raise DecParseError(
             f"more than {FRACTIONAL_DIGITS} fractional digits: {text!r}"
@@ -94,9 +97,13 @@ def _parse_mantissa(text: str) -> int:
     # checked before int() so that it never sees an arbitrarily long string.
     digits = whole.lstrip("+-").lstrip("0") or "0"
     if len(digits) > _MAX_WHOLE_DIGITS:
-        raise DecOverflowError("mantissa exceeds the signed 256-bit carrier")
+        raise DecOverflowError(_OVERFLOW)
     sign = "-" if whole[0] == "-" else ""
     return checked(int(sign + digits + frac) * _FRACTION_SCALE[len(frac)])
+
+
+# A Dec whose mantissa is yet to be set: what each operator fills in.
+_new_dec = object.__new__
 
 
 class Dec:
@@ -147,6 +154,11 @@ class Dec:
         return f"Dec('{self}')"
 
     # -- Arithmetic --------------------------------------------------------
+    #
+    # Each operator reads a Dec operand's mantissa directly and coerces
+    # anything else: an int becomes a Dec, any other type is NotImplemented.
+    # Results are built without from_mantissa's type checks, since a sum,
+    # difference, product or quotient of ints is an int.
 
     @staticmethod
     def _coerce(other: object) -> "Dec | None":
@@ -157,34 +169,52 @@ class Dec:
         return None
 
     def __add__(self, other: object) -> "Dec":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Dec.from_mantissa(self.mantissa + rhs.mantissa)
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        mantissa = self.mantissa + other.mantissa
+        if abs(mantissa) >= MANTISSA_BOUND:
+            raise DecOverflowError(_OVERFLOW)
+        result = _new_dec(Dec)
+        result.mantissa = mantissa
+        return result
 
     __radd__ = __add__
 
     def __sub__(self, other: object) -> "Dec":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Dec.from_mantissa(self.mantissa - rhs.mantissa)
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        mantissa = self.mantissa - other.mantissa
+        if abs(mantissa) >= MANTISSA_BOUND:
+            raise DecOverflowError(_OVERFLOW)
+        result = _new_dec(Dec)
+        result.mantissa = mantissa
+        return result
 
     def __mul__(self, other: object) -> "Dec":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return Dec.from_mantissa(trunc_mul(self.mantissa, rhs.mantissa))
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        result = _new_dec(Dec)
+        result.mantissa = trunc_mul(self.mantissa, other.mantissa)
+        return result
 
     __rmul__ = __mul__
 
     def __truediv__(self, other: object) -> "Dec":
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        if rhs.mantissa == 0:
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        if other.mantissa == 0:
             raise ZeroDivisionError("Dec division by zero")
-        return Dec.from_mantissa(trunc_div(self.mantissa, rhs.mantissa))
+        result = _new_dec(Dec)
+        result.mantissa = trunc_div(self.mantissa, other.mantissa)
+        return result
 
     def __neg__(self) -> "Dec":
         return Dec.from_mantissa(-self.mantissa)
@@ -192,34 +222,39 @@ class Dec:
     # -- Comparison --------------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.mantissa == rhs.mantissa
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.mantissa == other.mantissa
 
     def __lt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.mantissa < rhs.mantissa
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.mantissa < other.mantissa
 
     def __le__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.mantissa <= rhs.mantissa
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.mantissa <= other.mantissa
 
     def __gt__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.mantissa > rhs.mantissa
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.mantissa > other.mantissa
 
     def __ge__(self, other: object) -> bool:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return self.mantissa >= rhs.mantissa
+        if type(other) is not Dec:
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.mantissa >= other.mantissa
 
     def __hash__(self) -> int:
         return hash(("Dec", self.mantissa))
@@ -251,7 +286,7 @@ def parse_canonical(text: object) -> Dec:
     if match is None:
         raise DecParseError(f"not a canonical decimal literal: {text!r}")
     whole, frac = match.groups("")
-    dec = Dec.__new__(Dec)
+    dec = _new_dec(Dec)
     if len(whole) < _MAX_WHOLE_DIGITS:
         # As in _parse_mantissa: too short to reach the carrier's bound.
         dec.mantissa = int(whole + frac) * _FRACTION_SCALE[len(frac)]

@@ -68,7 +68,7 @@ class ProtocolParams:
             raise ValueError("liquidation incentive must be non-negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class MarketState:
     """Per-market aggregates and interest bookkeeping."""
 
@@ -90,7 +90,7 @@ class MarketState:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class Position:
     """One account's holdings in one market.
 

@@ -19,7 +19,16 @@ from plfkit.events import (
     serialize_event,
     write_events,
 )
-from plfkit.fixedpoint import Dec
+from plfkit.fixedpoint import (
+    _DECIMAL,
+    _MAX_WHOLE_DIGITS,
+    FRACTIONAL_DIGITS,
+    MANTISSA_BOUND,
+    SCALE,
+    Dec,
+    DecOverflowError,
+    DecParseError,
+)
 from streams import ACCT_A, ACCT_B, hand_fixture, make_event
 
 
@@ -549,3 +558,120 @@ class TestParserFuzz:
             assert exc.line_number == 1
         else:
             assert parse_event_line(serialize_event(parsed)) == parsed
+
+
+# -- Round trips across the carrier -------------------------------------------
+
+_TOP = MANTISSA_BOUND - 1  # the largest mantissa the carrier holds
+
+
+def _decimals(low, high):
+    """Decs in [low, high] with 0-18 fraction digits and whole parts of up
+    to _MAX_WHOLE_DIGITS digits; a draw beyond the range is clamped to its
+    nearer end, so the bounds themselves come up often."""
+    def digits(counts):
+        return counts.flatmap(lambda n: st.text("0123456789", min_size=n, max_size=n))
+
+    def clamped(sign, whole, frac):
+        mantissa = sign * (int(whole or "0") * SCALE + int(frac.ljust(FRACTIONAL_DIGITS, "0")))
+        return Dec.from_mantissa(min(max(mantissa, low), high))
+
+    return st.builds(
+        clamped,
+        st.sampled_from([1, -1] if low < 0 else [1]),
+        digits(st.just(_MAX_WHOLE_DIGITS) | st.integers(0, _MAX_WHOLE_DIGITS)),
+        digits(st.just(FRACTIONAL_DIGITS) | st.integers(0, FRACTIONAL_DIGITS)),
+    )
+
+
+_amounts = _decimals(0, _TOP)
+_positives = _decimals(1, _TOP)
+_fractions = _decimals(0, SCALE)
+_accounts = st.sampled_from([ACCT_A, ACCT_B]) | st.text("0123456789abcdef", min_size=40, max_size=40).map(
+    lambda digits: "0x" + digits)
+_names = st.text(min_size=1, max_size=6)
+
+# Each kind's scoping field and its payload's fields, as the README's table
+# gives them, with the range each field accepts.
+_KIND_PAYLOADS = {
+    "MarketListed": ("asset", {"initial_exchange_rate": _positives, "initial_collateral_factor": _fractions}),
+    "Mint": ("market", {"account": _accounts, "amount_underlying": _amounts, "amount_ctokens": _amounts}),
+    "Redeem": ("market", {"account": _accounts, "amount_underlying": _amounts, "amount_ctokens": _amounts}),
+    "Borrow": ("market", {"account": _accounts, "amount_underlying": _amounts}),
+    "RepayBorrow": ("market", {"account": _accounts, "payer": _accounts, "amount_underlying": _amounts}),
+    "LiquidateBorrow": ("repay_market", {
+        "borrower": _accounts, "liquidator": _accounts, "repay_amount_underlying": _amounts,
+        "collateral_market": _names, "seized_ctokens": _amounts,
+    }),
+    "AccrueInterest": ("market", {
+        "new_borrow_index": _decimals(SCALE, _TOP), "new_exchange_rate": _positives,
+        "interest_accumulated_underlying": _amounts,
+    }),
+    "NewCollateralFactor": ("market", {"new_factor": _fractions}),
+    "NewInterestRateModel": ("market", {"model_id": _names}),
+    "NewInterestParams": ("market", {
+        "params_blob": st.dictionaries(st.text(max_size=4), _decimals(-_TOP, _TOP), max_size=3),
+    }),
+    "NewCloseFactor": (None, {"new_close_factor": _fractions}),
+    "PriceUpdate": ("asset", {"price_usd": _positives}),
+}
+
+_naturals = st.integers(0, 10 ** 12)
+_events_of_every_kind = st.sampled_from(sorted(_KIND_PAYLOADS)).flatmap(lambda kind: st.builds(
+    lambda key, market, payload: EventRecord(key, kind, market, payload),
+    st.builds(OrderingKey, _naturals, _naturals, _naturals),
+    st.none() if _KIND_PAYLOADS[kind][0] is None else _names,
+    st.fixed_dictionaries(_KIND_PAYLOADS[kind][1]),
+))
+
+# _DECIMAL literals that probe each limit: a plus sign, leading zeros,
+# whole parts one digit short of, at, and one digit past the carrier's
+# longest, and 18 or 19 fraction digits.
+_decimal_texts = st.builds(
+    lambda sign, zeros, whole, frac: sign + "0" * zeros + whole + ("" if frac is None else "." + frac),
+    st.sampled_from(["", "+", "-"]),
+    st.sampled_from([0, 0, 1, 3]),
+    (st.sampled_from([_MAX_WHOLE_DIGITS - 1, _MAX_WHOLE_DIGITS, _MAX_WHOLE_DIGITS + 1])
+     | st.integers(1, _MAX_WHOLE_DIGITS + 1)).flatmap(
+        lambda n: st.text("0123456789", min_size=n, max_size=n)),
+    st.none() | (st.sampled_from([1, FRACTIONAL_DIGITS, FRACTIONAL_DIGITS + 1])
+                 | st.integers(1, FRACTIONAL_DIGITS + 1)).flatmap(
+        lambda n: st.text("0123456789", min_size=n, max_size=n)),
+) | st.from_regex(_DECIMAL, fullmatch=True)
+
+# Every non-negative amount field: (a valid line holding it, its name).
+_AMOUNT_SITES = [
+    (MINT, "amount_underlying"), (MINT, "amount_ctokens"),
+    (LIQUIDATE, "repay_amount_underlying"), (LIQUIDATE, "seized_ctokens"),
+    (ACCRUE, "interest_accumulated_underlying"),
+    ({**MINT, "kind": "Borrow", "amount_ctokens": DROP}, "amount_underlying"),
+    ({**MINT, "kind": "RepayBorrow", "amount_ctokens": DROP, "payer": ACCT_B}, "amount_underlying"),
+]
+
+
+class TestRoundTripAcrossTheCarrier:
+    def test_every_kind_is_generated(self):
+        assert set(_KIND_PAYLOADS) == KINDS
+
+    @settings(max_examples=400, deadline=None)
+    @given(_events_of_every_kind)
+    def test_serialized_event_parses_back(self, event):
+        assert parse_event_line(serialize_event(event)) == event
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.sampled_from(_AMOUNT_SITES), _decimal_texts)
+    def test_amount_text_decodes_as_dec_does(self, site, text):
+        base, name = site
+        try:
+            value = Dec(text)
+        except (DecParseError, DecOverflowError) as exc:
+            error = str(exc)
+        else:
+            error = "amount must be non-negative" if value.mantissa < 0 else None
+        text_line = line(base, **{name: text})
+        if error is None:
+            assert parse_event_line(text_line, line_number=1).payload[name] == value
+        else:
+            with pytest.raises(EventParseError) as excinfo:
+                parse_event_line(text_line, line_number=1)
+            assert str(excinfo.value) == f"line 1: field '{name}': {error}"

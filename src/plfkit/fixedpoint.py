@@ -302,4 +302,6 @@ def dec_muldiv(a: Dec, b: Dec, c: Dec) -> Dec:
     exact rational a*b/c truncated once toward zero. In particular
     dec_muldiv(x, y, y) == x, which (a * y) / y does not guarantee.
     """
-    return Dec.from_mantissa(trunc_muldiv(a.mantissa, b.mantissa, c.mantissa))
+    result = _new_dec(Dec)
+    result.mantissa = trunc_muldiv(a.mantissa, b.mantissa, c.mantissa)
+    return result

@@ -29,12 +29,12 @@ _ADDRESS = re.compile("0x[0-9a-f]{40}")
 
 def is_valid_address(text: object) -> bool:
     """42-character lowercase 0x-prefixed hex account identifier."""
-    return isinstance(text, str) and _is_address(text)
+    return isinstance(text, str) and len(text) == 42 and _is_address(text)
 
 
 # A stream names the same accounts line after line, so each distinct
-# string is matched once; the bound keeps a stream of endless new accounts
-# from growing the cache without limit.
+# string is matched once. Only 42-character strings reach the cache, and
+# its bound keeps a stream of endless new accounts from growing it.
 @lru_cache(maxsize=1 << 16)
 def _is_address(text: str) -> bool:
     return _ADDRESS.fullmatch(text) is not None
@@ -121,7 +121,7 @@ _dec_index = _decimal(SCALE, MANTISSA_BOUND, "index must be at least 1")
 
 
 def _account(raw: object) -> str:
-    if not isinstance(raw, str) or not _is_address(raw):
+    if not is_valid_address(raw):
         raise ValueError("expected a 42-character lowercase 0x hex address")
     return raw  # type: ignore[return-value]
 

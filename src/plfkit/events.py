@@ -94,6 +94,9 @@ class EventRecord:
 # ArithmeticError of an amount beyond the carrier) on bad input.
 
 
+_new = object.__new__
+
+
 def _decimal(low: int, high: int, message: str) -> Callable[[object], Dec]:
     """The checker of a decimal string whose mantissa lies in [low, high];
     ``message`` is its error for a value outside. It builds its Dec from
@@ -241,7 +244,6 @@ _DECODING = {
     for kind, (market_field, fields) in _SCHEMAS.items()
 }
 
-_new = object.__new__
 # The setters of OrderingKey's slots: each writes one field of a new key,
 # as the frozen dataclass's own __init__ does through object.__setattr__.
 _set_block = OrderingKey.block.__set__

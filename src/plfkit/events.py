@@ -18,26 +18,18 @@ import json
 import re
 from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache, lru_cache
+from functools import cache
 from types import UnionType
 from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
 
-from .fixedpoint import MANTISSA_BOUND, SCALE, Dec, _parse_mantissa
+from .fixedpoint import MANTISSA_BOUND, SCALE, Dec, _new_dec, _parse_mantissa
 
 _ADDRESS = re.compile("0x[0-9a-f]{40}")
 
 
 def is_valid_address(text: object) -> bool:
     """42-character lowercase 0x-prefixed hex account identifier."""
-    return isinstance(text, str) and len(text) == 42 and _is_address(text)
-
-
-# A stream names the same accounts line after line, so each distinct
-# string is matched once. Only 42-character strings reach the cache, and
-# its bound keeps a stream of endless new accounts from growing it.
-@lru_cache(maxsize=1 << 16)
-def _is_address(text: str) -> bool:
-    return _ADDRESS.fullmatch(text) is not None
+    return isinstance(text, str) and len(text) == 42 and _ADDRESS.fullmatch(text) is not None
 
 
 class EventParseError(ValueError):
@@ -94,7 +86,14 @@ class EventRecord:
 # ArithmeticError of an amount beyond the carrier) on bad input.
 
 
-_new = object.__new__
+def _dec(raw: object) -> Dec:
+    """The checker of a decimal string: its Dec, built in one frame from
+    the mantissa that _parse_mantissa has checked against the carrier."""
+    if not isinstance(raw, str):
+        raise ValueError("expected a decimal string")
+    value = _new_dec(Dec)
+    value.mantissa = _parse_mantissa(raw)
+    return value
 
 
 def _decimal(low: int, high: int, message: str) -> Callable[[object], Dec]:
@@ -108,15 +107,13 @@ def _decimal(low: int, high: int, message: str) -> Callable[[object], Dec]:
         mantissa = _parse_mantissa(raw)
         if not low <= mantissa <= high:
             raise ValueError(message)
-        value = _new(Dec)
+        value = _new_dec(Dec)
         value.mantissa = mantissa
         return value
 
     return check
 
 
-# _dec's range is the carrier's, which every mantissa lies inside.
-_dec = _decimal(-MANTISSA_BOUND, MANTISSA_BOUND, "")
 _dec_nonneg = _decimal(0, MANTISSA_BOUND, "amount must be non-negative")
 _dec_positive = _decimal(1, MANTISSA_BOUND, "value must be positive")
 _dec_fraction = _decimal(0, SCALE, "factor must lie in [0, 1]")
@@ -273,7 +270,7 @@ def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> Even
                     "must be a non-negative integer", line_number=line_number, field=name
                 )
     # The triple is checked; build the key without checking it again.
-    key = _new(OrderingKey)
+    key = object.__new__(OrderingKey)
     _set_block(key, block)
     _set_tx_index(key, tx_index)
     _set_log_index(key, log_index)
@@ -303,7 +300,7 @@ def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> Even
     except (ValueError, ArithmeticError) as exc:
         raise EventParseError(str(exc), line_number=line_number, field=name) from None
 
-    event = _new(EventRecord)
+    event = object.__new__(EventRecord)
     event.key = key
     event.kind = kind
     event.market = market
@@ -442,10 +439,11 @@ def iter_events(path: str) -> Iterator[EventRecord]:
     """Stream events from a JSONL file, enforcing strict ordering.
 
     A line is read without its JSON whitespace padding; a blank line or a
-    line that does not parse raises EventParseError at once. Every key must exceed the one before it, compared as raw
-    (block, tx_index, log_index) triples; a violation does not stop the
-    stream, but is raised as StreamOrderError once the whole file has
-    parsed, so a parse error on any line takes precedence.
+    line that does not parse raises EventParseError at once. Every key
+    must exceed the one before it, compared as raw (block, tx_index,
+    log_index) triples; a violation does not stop the stream, but is
+    raised as StreamOrderError once the whole file has parsed, so a parse
+    error on any line takes precedence.
     """
     violation = None
     previous: tuple[int, ...] = ()  # sorts before every triple

@@ -102,7 +102,8 @@ def _parse_mantissa(text: str) -> int:
     return checked(int(sign + digits + frac) * _FRACTION_SCALE[len(frac)])
 
 
-# A Dec whose mantissa is yet to be set: what each operator fills in.
+# A Dec whose mantissa is yet to be set: what each operator, and each
+# decimal checker of the event parser, fills in.
 _new_dec = object.__new__
 
 

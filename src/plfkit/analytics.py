@@ -1,18 +1,20 @@
 """Liquidation efficiency, concentration, and locked-funds analytics.
 
 track_efficiency observes engine._fold, the one event loop, timing how long
-positions stay liquidable before someone liquidates them. Only the
-accounts the engine reports an event changed are re-evaluated: those whose
-positions it wrote, and the holders of the market it re-priced. They are
-valued through risk.LiquidableCache. A written account is valued in full,
-one re-priced term per changed (account, market) with its sums re-added in
-holdings order. A holder of the re-priced market, for which engine._apply's
-report says nothing else changed, goes through LiquidableCache.repriced:
-that market's term alone is re-priced, and the sign is read from the moved
-sums where they prove every check of a full valuation passes. So the sign
-and every failure are exactly those of a full valuation. Full
-re-evaluation values every account with account_health after every event,
-without the cache: it is the uncached cross-check (the oracle-test mode).
+positions stay liquidable before someone liquidates them. After each event
+it values, through risk.LiquidableCache.liquidable, only the accounts whose
+sign may have changed: those whose positions the event wrote, and the
+holders of the market it re-priced whose movement budget that move used
+up (LiquidableCache.moved). A holder's budget bounds how far its markets
+may move before its sign, or any check of a full valuation, could change;
+within it the holder is not touched at all. A valued account has only the
+terms whose inputs changed re-priced, stale terms of skipped moves
+included, and its sums re-added in holdings order. So the sign and every
+failure are exactly those of a full valuation, and the cost follows the
+accounts that come near the liquidation line, not the holders of each
+re-priced market. Full re-evaluation values every account with
+account_health after every event, without the cache: it is the uncached
+cross-check (the oracle-test mode).
 funds_time_series folds the stream in one pass and values each sample block
 before the first event beyond it applies: the markets' supplied and
 borrowed USD on int mantissas, with Dec's truncation order and carrier
@@ -123,14 +125,17 @@ def track_efficiency(
                 timeline.streaks.append(Streak(account=borrower, start=start, end=event.key))
             timeline.liquidations.append(record)
 
-        written = set(state.participants) if full_reeval else set(accounts)
-        members = set()
-        if repriced is not None and not full_reeval:
-            # Nothing but the re-priced market changed for its other holders.
-            members = {name for name, holdings in state.participants.items() if repriced in holdings} - written
+        if full_reeval:
+            dirty = set(state.participants)
+        else:
+            dirty = set(accounts)
+            if repriced is not None:
+                dirty.update(cache.moved(repriced))
+            elif event.kind == "MarketListed":
+                cache.listed(event.market)
 
-        for account in sorted(written | members):
-            underwater = cache.repriced(account, repriced) if account in members else liquidable(account)
+        for account in sorted(dirty):
+            underwater = liquidable(account)
             if underwater and account not in open_streaks:
                 open_streaks[account] = event.key
             elif not underwater and account in open_streaks:

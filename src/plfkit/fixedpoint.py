@@ -258,7 +258,10 @@ class Dec:
         return self.mantissa >= other.mantissa
 
     def __hash__(self) -> int:
-        return hash(("Dec", self.mantissa))
+        # A whole value equals an int and must hash as it; a fraction equals
+        # no int, so its mantissa alone may key it.
+        whole, fraction = divmod(self.mantissa, SCALE)
+        return hash(("Dec", self.mantissa)) if fraction else hash(whole)
 
     def __bool__(self) -> bool:
         return self.mantissa != 0

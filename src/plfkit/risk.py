@@ -9,6 +9,7 @@ exactly when the surplus is strictly negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from typing import Mapping, Sequence
 
 from .fixedpoint import (
@@ -148,28 +149,112 @@ def account_health(state: GlobalState, account: str) -> AccountHealth:
     return _health(state, account, state.price_table.prices)
 
 
+# Movement clocks count relative movement in units of 1 / _CLOCK_ONE.
+_CLOCK_ONE = 1 << 64
+# The largest budget, 1/4. Moves of relative sizes g_1, g_2, ... with
+# sum G <= 1/4 leave a scale within [1 - G, e**G] of where it was, inside
+# [1 - 2G, 1 + 2G], and so within [1/2, 3/2].
+_MAX_BUDGET = _CLOCK_ONE // 4
+# A step beyond every budget: the move expires every holder.
+_UNBOUNDED = _MAX_BUDGET + 1
+_SCALE_SQUARED = SCALE * SCALE
+
+
+def _scales(market: MarketState, price: Dec | None) -> tuple[int, int, int, int, int] | None:
+    """A market's per-unit scales as exact mantissa products: price,
+    factor * price, rate * price (collateral value per cToken), rate *
+    factor * price (power per cToken) and index * price (borrow value per
+    unit of principal over snapshot). None without a price."""
+    if price is None:
+        return None
+    price = price.mantissa
+    factor_price = market.collateral_factor.mantissa * price
+    rate = market.exchange_rate.mantissa
+    return price, factor_price, rate * price, rate * factor_price, market.borrow_index.mantissa * price
+
+
+def _step(old: tuple | None, new: tuple | None) -> int:
+    """The largest relative move of any scale from ``old`` to ``new``,
+    rounded up in clock units: 0 only when no scale moved. A scale that
+    was negative or 0 and is no longer, a price that was not positive and
+    a missing price make the step unbounded."""
+    if old is None or new is None or old[0] <= 0:
+        return _UNBOUNDED
+    step = 0
+    for before, after in zip(old, new):
+        if before > 0:
+            move = -(-abs(after - before) * _CLOCK_ONE // before)
+            if move > step:
+                step = move
+        elif before < 0 or after:
+            return _UNBOUNDED
+    return step
+
+
+class _Clock:
+    """One market's movement clock: its scales at its last move (None when
+    unpriced), its time (the movement so far, in clock units) and a heap
+    of (deadline, account, generation) entries, live while the generation
+    is the account's. For _budget it also keeps a position's term error
+    bound and the collateral factor's whole units at the last move's
+    inputs."""
+
+    __slots__ = ("scales", "error", "units", "time", "due")
+
+    def __init__(self, market: MarketState, price: Dec | None):
+        self.time = self.error = self.units = 0
+        self.due: list[tuple[int, str, int]] = []
+        self._take(market, price)
+
+    def _take(self, market: MarketState, price: Dec | None) -> None:
+        self.scales = _scales(market, price)
+        if price is not None:
+            price, factor = abs(price.mantissa), abs(market.collateral_factor.mantissa)
+            # A position's three term errors (see _budget), rounded up to
+            # whole units: 3 + 3p + fp <= 7 + 3 floor(p) + floor(fp), p
+            # and f the price and factor in units.
+            self.error = 7 + 3 * (price // SCALE) + factor * price // _SCALE_SQUARED
+            self.units = factor // SCALE
+
+    def move(self, market: MarketState, price: Dec | None) -> int:
+        """Take the market's inputs as they stand, advancing the time by
+        the step from the last ones; returns the step."""
+        old = self.scales
+        self._take(market, price)
+        step = _step(old, self.scales)
+        self.time += step
+        return step
+
+
 class LiquidableCache:
     """``account_health(state, account).liquidable`` for the accounts of
-    one state, re-pricing only the positions whose inputs changed.
+    one state, valued only when their sign may have changed.
 
-    Each (account, market) keeps the collateral, power and borrow products
-    of its last valuation beside the seven values they came from: the
-    position's cToken balance, borrow principal and index snapshot, the
-    market's exchange rate, collateral factor and borrow index, and the
-    price. ``liquidable`` reuses a product only while all seven are the
-    same objects or equal, so the answer stays exact whatever changed the
-    state: an event, a direct mutation or a replaced position. Sums are
-    re-added in holdings order with the carrier check at every partial
-    sum, and the ratio account_health computes is checked too, so a
-    valuation fails exactly where account_health fails. Entries are
-    bounded by accounts times markets.
+    ``liquidable`` is the one exact valuation. Each (account, market) keeps
+    the collateral, power and borrow products of its last valuation beside
+    the seven values they came from: the position's cToken balance, borrow
+    principal and index snapshot, the market's exchange rate, collateral
+    factor and borrow index, and the price. A product is reused only while
+    all seven are the same objects or equal, so the answer stays exact
+    whatever changed the state: an event, a direct mutation or a replaced
+    position. Sums are re-added in holdings order with the carrier check
+    at every partial sum, and the ratio account_health computes is checked
+    too, so a valuation fails exactly where account_health fails.
 
-    ``repriced`` is the path for a caller that knows which one market
-    changed since an account's last valuation, as track_efficiency knows
-    from engine._apply's report. It re-prices that market's term alone and
-    moves the cached sums by its change, deciding the sign only where that
-    provably gives what ``liquidable`` would; elsewhere it calls
-    ``liquidable``.
+    ``moved`` serves a caller that reports every re-pricing of a market
+    and every listing (``listed``), as track_efficiency does from
+    engine._apply's report. Each market keeps a movement clock: a move
+    advances it by the largest relative change of the market's scales
+    (``_scales``) since its previous move, rounded up, or by more than any
+    budget when that change is unbounded. After an exact valuation an
+    account gets a budget (``_budget``): while no market where it holds a
+    non-empty position has moved further than the budget since, its sign
+    and every check of a full valuation provably stay as they were. A move
+    returns only the holders whose budget it used up, from its market's
+    heap of deadlines; the other holders are not touched. Budgets are
+    worked out at the first move after a valuation, so valuations between
+    moves cost no more. Heaps are kept within a small multiple of the
+    accounts valued.
     """
 
     def __init__(self, state: GlobalState):
@@ -177,9 +262,13 @@ class LiquidableCache:
         # account -> market -> (the seven inputs, (collateral, power, borrow)
         # products, the unpriced terms of _terms)
         self._products: dict[str, dict[str, tuple[tuple, tuple[int, int, int], tuple[int, int, int]]]] = {}
-        # account -> (power, borrow, collateral) of its last valuation, kept
-        # only when that succeeded with no negative term
-        self._sums: dict[str, tuple[int, int, int]] = {}
+        # Accounts valued since the last move: (power, borrow, collateral)
+        # of the valuation, or None where a term was negative.
+        self._valued: dict[str, tuple[int, int, int] | None] = {}
+        self._clocks: dict[str, _Clock] = {}
+        self._generations: dict[str, int] = {}  # account -> its live entries' generation
+        for symbol in state.markets:
+            self.listed(symbol)
 
     def liquidable(self, account: str) -> bool:
         state = self._state
@@ -190,7 +279,8 @@ class LiquidableCache:
         cached = self._products.get(account)
         if cached is None:
             cached = self._products[account] = {}
-        self._sums.pop(account, None)
+        valued = self._valued
+        valued[account] = None
         power = borrow = collateral = 0
         signed = False
         for symbol, position in holdings.items():
@@ -221,65 +311,126 @@ class LiquidableCache:
         if borrow and -SCALE < borrow < SCALE:
             trunc_div(power, borrow)
         if not signed:
-            self._sums[account] = power, borrow, collateral
+            valued[account] = power, borrow, collateral
         return surplus < 0
 
-    def repriced(self, account: str, symbol: str) -> bool:
-        """``liquidable(account)``, for a caller that knows that since the
-        account's last valuation here no input changed but market
-        ``symbol``'s exchange rate, collateral factor, borrow index or price.
+    def listed(self, symbol: str) -> None:
+        """Start market ``symbol``'s clock at its inputs as they stand, for
+        a market listed since this cache was made."""
+        self._clocks[symbol] = _Clock(self._state.markets[symbol], self._state.price_table.prices.get(symbol))
 
-        The symbol's term is re-priced exactly as ``liquidable`` prices it,
-        and the cached sums move by its change. Those are the sums
-        ``liquidable`` would add up, so its sign is theirs wherever no check
-        of its can fail, and that is proven here from the totals: products
-        are carrier-checked as they are computed; with every term
-        non-negative, each partial sum lies between 0 and its total, so
-        totals below the bound keep every partial sum and the surplus
-        inside the carrier; and the ratio needs no check while the borrow
-        value is 0 or at least 1. A term that fails, a negative term, a
-        total at the bound, a borrow value in (0, 1), a missing price or no
-        sums from the last valuation leave the decision to ``liquidable``,
-        which then fails where account_health fails.
-        """
-        sums = self._sums.get(account)
-        if sums is None:
-            return self.liquidable(account)
-        power, borrow, collateral = sums
+    def moved(self, symbol: str) -> list[str]:
+        """The accounts valued here whose sign may have changed since their
+        last valuation, for a caller that reports here each change of
+        market ``symbol``'s exchange rate, collateral factor, borrow index
+        or price right after it is made, and each listing to ``listed``.
+        Every other account valued here keeps its last sign, and a
+        valuation of it now would pass every check."""
+        self._schedule()
         state = self._state
-        position = state.participants[account][symbol]
-        ctokens, principal = position.ctoken_balance, position.borrow_principal
-        if not ctokens.mantissa and not principal.mantissa:
-            return power < borrow  # the position adds nothing, price or not
-        market = state.markets[symbol]
-        price = state.price_table.prices.get(symbol)
-        cached = self._products[account]
-        entry = cached.get(symbol)
-        if price is None or entry is None:
-            return self.liquidable(account)
-        old_inputs, (old_collateral, old_power, old_borrow), terms = entry
-        rate, factor, index = market.exchange_rate, market.collateral_factor, market.borrow_index
-        try:
-            # The position is as it was; the unpriced terms stand while the
-            # market's three inputs are the same objects (a PriceUpdate).
-            if old_inputs[3] is not rate or old_inputs[4] is not factor or old_inputs[5] is not index:
-                terms = _terms(position, market)
-            products = _priced(terms, price.mantissa)
-        except ArithmeticError:
-            return self.liquidable(account)
-        collateral_term, power_term, borrow_term = products
-        power += power_term - old_power
-        borrow += borrow_term - old_borrow
-        collateral += collateral_term - old_collateral
-        if (
-            collateral_term < 0 or power_term < 0 or borrow_term < 0
-            or power >= MANTISSA_BOUND or borrow >= MANTISSA_BOUND or collateral >= MANTISSA_BOUND
-            or 0 < borrow < SCALE
-        ):
-            return self.liquidable(account)
-        cached[symbol] = old_inputs[:3] + (rate, factor, index, price), products, terms
-        self._sums[account] = power, borrow, collateral
-        return power < borrow
+        market = state.markets.get(symbol)
+        if market is None:
+            return []  # an asset priced before it is listed has no holders
+        clock = self._clocks[symbol]
+        if not clock.move(market, state.price_table.prices.get(symbol)):
+            return []  # no input of the market moved
+        due, time, generations = clock.due, clock.time, self._generations
+        expired = []
+        while due and due[0][0] < time:
+            _, account, generation = heappop(due)
+            if generations[account] == generation:
+                expired.append(account)
+        return expired
+
+    def _schedule(self) -> None:
+        """Enter each account valued since the last move in the heap of
+        every market where it holds a non-empty position, due when that
+        market's time passes its time now plus the account's budget."""
+        valued = self._valued
+        if not valued:
+            return
+        participants, products, clocks = self._state.participants, self._products, self._clocks
+        generations = self._generations
+        for account, sums in valued.items():
+            generation = generations[account] = generations.get(account, 0) + 1
+            budget, held = _budget(participants[account], products[account], sums, clocks)
+            for clock in held:
+                heappush(clock.due, (clock.time + budget, account, generation))
+        valued.clear()
+        limit = 2 * len(generations) + 32
+        for clock in clocks.values():
+            if len(clock.due) > limit:  # drop the dead entries
+                clock.due = [entry for entry in clock.due if generations[entry[1]] == entry[2]]
+                heapify(clock.due)
+
+
+def _budget(
+    holdings: Mapping[str, Position],
+    cached: Mapping[str, tuple[tuple, tuple[int, int, int], tuple[int, int, int]]],
+    sums: tuple[int, int, int] | None,
+    clocks: dict[str, _Clock],
+) -> tuple[int, list[_Clock]]:
+    """An account's movement budget after an exact valuation, in clock
+    units, and the clocks of the markets of its non-empty positions.
+    ``sums`` are the valuation's (power, borrow, collateral), None where a
+    term was negative; ``cached`` holds its inputs and unpriced terms.
+
+    Within budget b, each market m of the account has moved by G_m <= b
+    <= 1/4 since the valuation. A market with no move has the same inputs,
+    so its terms are unchanged. A market that moved had a positive price,
+    every other input non-negative and every scale positive or held at 0.
+    So each of its per-unit values, the price and factor * price are
+    within [1 - 2b, 1 + 2b] of what they were, and rate, rate * factor and
+    index within a factor of 3. With non-negative position inputs, each
+    truncation is downward by less than one unit, so a term is below its
+    exact value by less than 1 + p (collateral, borrow) or 1 + p + fp
+    (power), p and f the price and factor in units; that error grows by at
+    most 3/2. With E the sum of those errors at the valuation, T = power +
+    borrow and D = |power - borrow|:
+    - sign: each total moves by at most 2b of itself plus 3E/2, so the
+      surplus keeps its sign while 2bT <= D - 2E - 1;
+    - carrier: the totals grow by at most 3/2 plus 3E/2 and the unpriced
+      terms by at most 3 times, so they fit, and with them every term and
+      partial sum (all non-negative), while all are below a quarter of
+      the bound;
+    - ratio: a debt of at least 2 USD + 3E stays at least 1 USD, and one
+      with no principal stays 0.
+    Any other account gets budget 0: it is valued at its next move.
+    """
+    held = []
+    error = peak = 0
+    debt = False
+    for symbol, position in holdings.items():
+        ctokens, principal = position.ctoken_balance.mantissa, position.borrow_principal.mantissa
+        if not ctokens and not principal:
+            continue
+        clock = clocks[symbol]
+        held.append(clock)
+        if sums is None:
+            continue
+        if ctokens < 0 or principal < 0 or (principal and position.borrow_index_snapshot.mantissa <= 0):
+            sums = None
+            continue
+        base, power_base, accrued = cached[symbol][2]
+        error += clock.error
+        top = (base if base > power_base else power_base) + clock.units
+        if accrued > top:
+            top = accrued
+        if top > peak:
+            peak = top
+        if principal:
+            debt = True
+    if sums is None:
+        return 0, held
+    power, borrow, collateral = sums
+    slack = abs(power - borrow) - 2 * error - 1
+    if (
+        slack <= 0
+        or max(power, borrow, collateral, peak) + error + 2 >= MANTISSA_BOUND // 4
+        or (debt and borrow < 2 * SCALE + 3 * error)
+    ):
+        return 0, held
+    return min(_MAX_BUDGET, slack * _CLOCK_ONE // (2 * (power + borrow))), held
 
 
 def liquidable_accounts(state: GlobalState) -> dict[str, AccountHealth]:

@@ -20,9 +20,9 @@ from plfkit.analytics import (
     track_efficiency,
 )
 from plfkit.cli import main
-from plfkit.engine import TransitionError, apply_event, replay
+from plfkit.engine import ReplayReport, TransitionError, _fold, apply_event, replay
 from plfkit.events import EventRecord, OrderingKey, read_events, write_events
-from plfkit.fixedpoint import MANTISSA_BOUND, ONE, SCALE, ZERO, Dec, DecOverflowError
+from plfkit.fixedpoint import MANTISSA_BOUND, ONE, SCALE, ZERO, Dec, DecOverflowError, trunc_mul
 from plfkit.model import GlobalState, MarketState, MissingPriceError, Position, ProtocolParams
 from plfkit.risk import LiquidableCache, _sums, account_health
 from plfkit.scenarios import default_spec, generate
@@ -547,8 +547,9 @@ def outcome(fn, *args):
 def failure_site(track, state, events):
     """outcome(track, state, events), with the accounts whose valuation
     raised: the first failing account when a valuation failed, since the
-    failure ends the fold. Valuations are LiquidableCache.liquidable and
-    .repriced for track_efficiency and account_health for the reference."""
+    failure ends the fold. Valuations are LiquidableCache.liquidable, the
+    one exact valuation, for track_efficiency and account_health for the
+    reference."""
     failed = set()
 
     def recording(value):
@@ -561,8 +562,7 @@ def failure_site(track, state, events):
         return valued
 
     with pytest.MonkeyPatch.context() as patch:
-        for name in ("liquidable", "repriced"):
-            patch.setattr(LiquidableCache, name, recording(getattr(LiquidableCache, name)))
+        patch.setattr(LiquidableCache, "liquidable", recording(LiquidableCache.liquidable))
         patch.setitem(globals(), "account_health", recording(account_health))
         return outcome(track, state, events), failed
 
@@ -825,6 +825,130 @@ def draw_edge_event(data, state: GlobalState, block: int) -> EventRecord:
     )
 
 
+BUDGET_KINDS = ("ratio", "small-debt", "dust-debt", "near-carrier")
+
+
+@st.composite
+def budget_walks(draw):
+    """A book at the edges of a per-market movement budget, and a long
+    stream of small moves across it: (state, events).
+
+    Accounts sit at power/borrow 1.001-1.05, owe just over 1 USD, owe a
+    few mantissa units against a power whose ratio to the debt is near the
+    carrier, or hold collateral near the carrier. The moves walk one
+    market, or alternate across two or three, in steps of one mantissa
+    unit or 20 bps: prices, borrow indices and exchange rates, and
+    collateral factors, which may drop to 0. The third market may be
+    listed mid-stream and taken up by a supplier and a borrower. A few
+    small borrows write accounts between the moves.
+    """
+    state = GlobalState.fresh(ProtocolParams(Dec("0.5"), Dec("0.1")))
+    late = draw(st.booleans())  # CCC is listed mid-stream
+    for symbol in SYMBOLS[:2] if late else SYMBOLS:
+        market = state.markets[symbol] = MarketState.listed(
+            symbol, draw(mantissas(UNIT // 60, UNIT // 40)), draw(mantissas(UNIT * 3 // 5, UNIT))
+        )
+        market.borrow_index = draw(mantissas(UNIT, UNIT + UNIT // 20))
+        state.price_table.set(symbol, Dec.from_mantissa(draw(st.integers(1, 4000)) * UNIT))
+    listed = sorted(state.markets)
+    carriers = 0
+    for account in draw(st.lists(st.sampled_from(ACCOUNTS), unique=True, min_size=2, max_size=6)):
+        kind = draw(st.sampled_from(BUDGET_KINDS))
+        if kind == "near-carrier":
+            carriers += 1
+            kind = kind if carriers <= 2 else "ratio"
+        supplied, owed = draw(st.sampled_from(listed)), draw(st.sampled_from(listed))
+        collateral, debt = state.markets[supplied], state.markets[owed]
+        rate_price = collateral.exchange_rate.mantissa * state.price_table.get(supplied).mantissa
+        if kind == "near-carrier":
+            target = MANTISSA_BOUND - MANTISSA_BOUND * draw(st.integers(1, 200)) // 10_000
+            ctokens = min(target * UNIT * UNIT // rate_price, MANTISSA_BOUND // 8)
+        elif kind == "dust-debt":
+            # A principal of a few units; power such that power / debt is
+            # 20-99% of the carrier.
+            dust = draw(st.integers(1, 50))
+            owed_value = max(trunc_mul(dust, state.price_table.get(owed).mantissa), 1)
+            target = MANTISSA_BOUND * owed_value * draw(st.integers(20, 99)) // (100 * UNIT)
+            ctokens = min(target * UNIT ** 3 // (rate_price * collateral.collateral_factor.mantissa),
+                          MANTISSA_BOUND // 8)
+        else:
+            ctokens = draw(st.integers(100, 100_000)) * UNIT
+        position = Position(Dec.from_mantissa(ctokens))
+        power = trunc_mul(trunc_mul(trunc_mul(ctokens, collateral.exchange_rate.mantissa),
+                                    collateral.collateral_factor.mantissa),
+                          state.price_table.get(supplied).mantissa)
+        if kind == "dust-debt":
+            principal = dust
+        else:
+            if kind == "small-debt":
+                owed_usd = draw(st.integers(UNIT, 5 * UNIT // 2))
+            else:
+                owed_usd = power * 1000 // draw(st.integers(1001, 1050))
+            principal = min(owed_usd * UNIT // state.price_table.get(owed).mantissa, MANTISSA_BOUND // 8)
+        holdings = state.participants[account] = {supplied: position}
+        if owed == supplied:
+            position.borrow_principal = Dec.from_mantissa(principal)
+            position.borrow_index_snapshot = debt.borrow_index
+        else:
+            holdings[owed] = Position(ZERO, Dec.from_mantissa(principal), debt.borrow_index)
+        collateral.total_ctoken_supply = collateral.total_ctoken_supply + position.ctoken_balance
+        debt.total_borrows = debt.total_borrows + Dec.from_mantissa(principal)
+
+    sim = state.copy()
+    walked = draw(st.lists(st.sampled_from(SYMBOLS), unique=True, min_size=1, max_size=3))
+    directions = {symbol: draw(st.sampled_from((-1, 1))) for symbol in SYMBOLS}
+    bps = draw(st.booleans())  # the walk's usual step: 20 bps, or one unit
+    listing_at = draw(st.integers(0, 30)) if late else None
+    events, turn = [], 0
+    for block in range(1, draw(st.integers(20, 150)) + 1):
+        if block - 1 == listing_at:
+            events += [
+                make_event(block, 0, 0, "MarketListed", "CCC", initial_exchange_rate=Dec("0.02"),
+                           initial_collateral_factor=draw(mantissas(UNIT // 2, UNIT))),
+                make_event(block, 1, 0, "PriceUpdate", "CCC", price_usd=Dec(draw(st.integers(1, 4000)))),
+            ]
+            supplier, borrower = draw(st.sampled_from(ACCOUNTS)), draw(st.sampled_from(ACCOUNTS))
+            ctokens = Dec(draw(st.integers(100, 100_000)))
+            events += [
+                make_event(block, 2, 0, "Mint", "CCC", account=supplier,
+                           amount_underlying=ctokens * Dec("0.02"), amount_ctokens=ctokens),
+                make_event(block, 3, 0, "Borrow", "CCC", account=borrower,
+                           amount_underlying=Dec(draw(st.integers(1, 100)))),
+            ]
+            for event in events[-4:]:
+                apply_event(sim, event)
+            continue
+        moving = [symbol for symbol in walked if symbol in sim.markets] or sorted(sim.markets)
+        symbol = moving[turn % len(moving)]
+        turn += 1
+        if draw(st.integers(0, 19)) == 0:
+            directions[symbol] = -directions[symbol]
+        market = sim.markets[symbol]
+
+        def stepped(value: Dec) -> Dec:
+            unit = value.mantissa * 2 // 1000 if bps and draw(st.integers(0, 9)) else 1
+            return Dec.from_mantissa(max(value.mantissa + directions[symbol] * unit, 1))
+
+        what = draw(st.sampled_from(("price", "price", "price", "accrue", "factor", "borrow")))
+        if what == "price":
+            event = make_event(block, 0, 0, "PriceUpdate", symbol, price_usd=stepped(sim.price_table.get(symbol)))
+        elif what == "accrue":
+            event = make_event(block, 0, 0, "AccrueInterest", symbol, new_borrow_index=stepped(market.borrow_index),
+                               new_exchange_rate=stepped(market.exchange_rate), interest_accumulated_underlying=ZERO)
+        elif what == "factor":
+            factor = ZERO if draw(st.integers(0, 4)) == 0 else stepped(market.collateral_factor)
+            event = make_event(block, 0, 0, "NewCollateralFactor", symbol, new_factor=factor)
+        else:
+            event = make_event(block, 0, 0, "Borrow", symbol, account=draw(st.sampled_from(ACCOUNTS)),
+                               amount_underlying=Dec.from_mantissa(draw(st.integers(1, 2 * UNIT))))
+        events.append(event)
+        try:
+            apply_event(sim, event)
+        except TransitionError:
+            break  # a write past the carrier: both trackers must then fail on it alike
+    return state, events
+
+
 def generated_stream(seed: int, event_count: int, accounts: int) -> list[EventRecord]:
     with tempfile.TemporaryDirectory() as tmp:
         generate(default_spec(seed, event_count, accounts), f"{tmp}/s.jsonl", f"{tmp}/s.json")
@@ -850,6 +974,37 @@ def failing_book(*holdings: tuple[str, int, int, int, int | None]) -> GlobalStat
             state.price_table.set(symbol, Dec.from_mantissa(price))
         positions[symbol] = Position(Dec.from_mantissa(ctokens), Dec.from_mantissa(principal))
     return state
+
+
+def assert_skipped_holders_keep_their_sign(state: GlobalState, events) -> None:
+    """Fold ``events`` into ``state`` with LiquidableCache told of every
+    move and listing, valuing the accounts each event wrote and those its
+    move returns. After every event, each account valued before and left
+    out must still have the sign of its last valuation, and a fresh
+    account_health of it must pass every check. Stops at the first
+    valuation or transition that fails."""
+    cache = LiquidableCache(state)
+    signs = {}
+
+    def observe(event, warnings, accounts, repriced):
+        dirty = set(accounts)
+        if repriced is not None:
+            dirty.update(cache.moved(repriced))
+        elif event.kind == "MarketListed":
+            cache.listed(event.market)
+        for account in sorted(dirty):
+            signs[account] = cache.liquidable(account)
+        for account, sign in signs.items():
+            if account not in dirty:
+                fresh = outcome(lambda: account_health(state, account).liquidable)
+                assert fresh == ("ok", sign), (event, account)
+
+    try:
+        for account in sorted(state.participants):
+            signs[account] = cache.liquidable(account)
+        _fold(state, events, ReplayReport(), observe)
+    except (TransitionError, MissingPriceError, DecOverflowError):
+        pass
 
 
 class TestLiquidableCacheFailures:
@@ -979,12 +1134,13 @@ class TestCachedValuationAgainstReference:
 
     @settings(max_examples=300, deadline=None)
     @given(books(), st.data())
-    def test_edges_of_the_repriced_path(self, book, data):
-        """Re-pricing at the edges of LiquidableCache.repriced: prices a few
-        units from a flip price, borrow index steps of one unit, a zero
-        collateral factor and inputs near the carrier, on states copied or
-        written to (extreme writes included) before each fold. The results,
-        failure types and first failing accounts equal the reference's."""
+    def test_edges_of_the_movement_budget(self, book, data):
+        """Re-pricing at the edges of LiquidableCache's movement budgets:
+        prices a few units from a flip price, borrow index steps of one
+        unit, a zero collateral factor and inputs near the carrier, on
+        states copied or written to (extreme writes included) before each
+        fold. The results, failure types and first failing accounts equal
+        the reference's."""
         ours, theirs = book.copy(), book.copy()
         for _ in range(data.draw(st.integers(1, 3))):
             before = data.draw(st.sampled_from(("none", "copy", "write", "extreme-write")))
@@ -1000,6 +1156,29 @@ class TestCachedValuationAgainstReference:
             if result[0][0] != "ok":
                 break
 
+    @settings(max_examples=150, deadline=None)
+    @given(budget_walks())
+    def test_movement_budget_edges(self, walk):
+        """Long walks of small moves on books at the edges of a movement
+        budget (budget_walks): the results, failure types and first failing
+        accounts equal the reference's, and --full-reeval agrees."""
+        book, events = walk
+        result = failure_site(track_efficiency, book.copy(), events)
+        assert result == failure_site(reference_track_efficiency, book.copy(), events)
+        assert outcome(track_efficiency, book.copy(), events, True) == result[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(budget_walks())
+    def test_holders_a_move_leaves_out_keep_their_sign(self, walk):
+        book, events = walk
+        assert_skipped_holders_keep_their_sign(book, events)
+
+    @settings(max_examples=150, deadline=None)
+    @given(books(), st.data())
+    def test_holders_an_edge_move_leaves_out_keep_their_sign(self, book, data):
+        events = draw_events(data, book, data.draw(st.integers(1, 20)), edges=True)
+        assert_skipped_holders_keep_their_sign(book, events)
+
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(120, 320), st.integers(3, 8))
     def test_cached_sign_equals_fresh_valuation_on_generated_streams(self, seed, event_count, accounts):
@@ -1012,9 +1191,10 @@ class TestCachedValuationAgainstReference:
 
 
 class TestExactValuationCount:
-    """Exact valuations are counted, not timed: after each event only the
-    accounts it wrote are valued in full, and the holders of a market it
-    re-priced are decided from their cached sums."""
+    """Exact valuations are counted, not timed. LiquidableCache.liquidable
+    is the one exact valuation: after each event it values the accounts
+    the event wrote, and the holders of a market the event re-priced whose
+    movement budget the move used up. Every other holder is not touched."""
 
     @staticmethod
     def exact_valuations(monkeypatch, events) -> int:
@@ -1031,14 +1211,17 @@ class TestExactValuationCount:
 
     def test_profile_stream(self, monkeypatch):
         # The 4 Mints, 4 Borrows and 4 LiquidateBorrows write 16 accounts;
-        # the holders a PriceUpdate re-prices take none.
-        assert self.exact_valuations(monkeypatch, cdf_profile_stream()) == 16
+        # each of the 4 price drops uses up its victim's budget. Deciding
+        # re-priced holders from their cached sums took 16 full valuations
+        # and 4 re-priced terms.
+        assert self.exact_valuations(monkeypatch, cdf_profile_stream()) == 20
 
     def test_no_more_than_events_on_a_generated_stream(self, monkeypatch):
-        # 242 for these 400 events; each re-pricing event used to value
-        # every holder of its market in full (1,099 in all).
+        # 246 for these 400 events. Deciding every re-priced holder from its
+        # cached sums took 242 full valuations and 857 re-priced terms
+        # (1,099 in all).
         events = generated_stream(7, 400, 8)
-        assert self.exact_valuations(monkeypatch, events) <= len(events)
+        assert self.exact_valuations(monkeypatch, events) == 246 <= len(events)
 
 
 class TestFundsValuationCount:

@@ -26,6 +26,13 @@ from plfkit.fixedpoint import (
 mantissas = st.integers(min_value=-(10 ** 27), max_value=10 ** 27)
 decs = mantissas.map(Dec.from_mantissa)
 nonzero_decs = mantissas.filter(lambda m: m != 0).map(Dec.from_mantissa)
+# Ints and Decs that often equal each other: small whole values both
+# ways, fractions, and whole values up to the carrier.
+wholes = st.integers(-(MANTISSA_BOUND // SCALE), MANTISSA_BOUND // SCALE)
+equatable = st.one_of(
+    st.integers(-3, 3), st.integers(-3, 3).map(Dec), st.sampled_from([Dec("0.5"), Dec("-1.5")]),
+    wholes, wholes.map(Dec), decs,
+)
 
 
 def exact(d: Dec) -> Fraction:
@@ -371,6 +378,24 @@ class TestComparisonAndIdentity:
     def test_hashable(self):
         assert hash(Dec("1.5")) == hash(Dec("1.50"))
         assert len({Dec(1), Dec(1), Dec(2)}) == 2
+
+    @pytest.mark.parametrize("n", [
+        0, 1, -1, 2, -2, 10 ** 18, -(10 ** 18),
+        # The largest whole values the carrier holds, and their neighbours.
+        MANTISSA_BOUND // SCALE, -(MANTISSA_BOUND // SCALE),
+        MANTISSA_BOUND // SCALE - 1, -(MANTISSA_BOUND // SCALE - 1),
+    ])
+    def test_whole_values_hash_as_their_int(self, n):
+        assert Dec(n) == n
+        assert hash(Dec(n)) == hash(n)
+        assert n in {Dec(n)}
+        assert Dec(n) in {n: None}
+        assert len({Dec(n), n}) == 1
+
+    @given(equatable, equatable)
+    def test_equal_values_hash_alike(self, a, b):
+        if a == b:
+            assert hash(a) == hash(b)
 
     def test_bool(self):
         assert not ZERO

@@ -26,7 +26,7 @@ from itertools import dropwhile
 from typing import Any, Callable, Iterable, Iterator, Sequence, TypeVar
 
 from . import __version__
-from .engine import ReplayError, ReplayReport, TransitionError, _fold, replay
+from .engine import ReplayReport, TransitionError, _fold, state_digest
 from .events import (
     EventParseError,
     EventRecord,
@@ -160,25 +160,18 @@ def _print_warnings(warnings: Iterable[str]) -> None:
         print(f"warning: {warning}", file=sys.stderr)
 
 
-def _replay(state: GlobalState, events: Iterable[EventRecord]) -> tuple[GlobalState, ReplayReport]:
-    """replay, with its warnings printed on stderr."""
-    state, report = replay(state, events)
-    _print_warnings(report.warnings)
-    return state, report
-
-
-def _apply_all(state: GlobalState, events: Iterable[EventRecord]) -> GlobalState:
-    """_replay without the digest, for commands that do not report one."""
+def _apply_all(state: GlobalState, events: Iterable[EventRecord]) -> tuple[GlobalState, ReplayReport]:
+    """Apply the events in place, printing their warnings; no digest."""
     report = ReplayReport()
     _fold(state, events, report)
     _print_warnings(report.warnings)
-    return state
+    return state, report
 
 
 def _state_from_args(args: argparse.Namespace) -> GlobalState:
     if args.snapshot:
         return _load_snapshot(args.snapshot)
-    return _fold_stream(args.events, _apply_all, args.at_block)
+    return _fold_stream(args.events, _apply_all, args.at_block)[0]
 
 
 def _write_rows(args: argparse.Namespace, columns: Sequence[str], rows: Iterable[Sequence[Any]]) -> None:
@@ -219,13 +212,13 @@ def _cursor_cells(cursor) -> tuple[Any, Any, Any]:
 
 def cmd_replay(args: argparse.Namespace) -> int:
     start = (lambda: _load_snapshot(args.snapshot_in)) if args.snapshot_in else GlobalState.fresh
-    state, report = _fold_stream(args.events, _replay, args.at_block, start)
-    if args.snapshot_out:
-        save_snapshot(state, args.snapshot_out)
+    state, report = _fold_stream(args.events, _apply_all, args.at_block, start)
+    # A saved state's digest is the hash of the bytes just written.
+    digest = save_snapshot(state, args.snapshot_out).digest if args.snapshot_out else state_digest(state)
     _write_rows(
         args,
         ("events_applied", "final_block", "final_tx_index", "final_log_index", "digest"),
-        [(report.events_applied, *_cursor_cells(state.cursor), report.digest)],
+        [(report.events_applied, *_cursor_cells(state.cursor), digest)],
     )
     return 0
 
@@ -346,7 +339,7 @@ def _snapshot_row(args: argparse.Namespace, path: str, meta) -> None:
 
 
 def cmd_snapshot_save(args: argparse.Namespace) -> int:
-    state = _fold_stream(args.events, _apply_all, args.at_block)
+    state, _ = _fold_stream(args.events, _apply_all, args.at_block)
     meta = save_snapshot(state, args.out_path)
     _snapshot_row(args, args.out_path, meta)
     return 0
@@ -515,7 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except BrokenPipeError:
         return 1
-    except (CliError, ReplayError, TransitionError, MissingPriceError, DecOverflowError, OSError) as exc:
+    except (CliError, TransitionError, MissingPriceError, DecOverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -98,8 +98,9 @@ def _dec(raw: object) -> Dec:
 
 def _decimal(low: int, high: int, message: str) -> Callable[[object], Dec]:
     """The checker of a decimal string whose mantissa lies in [low, high];
-    ``message`` is its error for a value outside. It builds its Dec from
-    the mantissa it has checked, in one frame per value."""
+    ``message`` is its error for a value outside, and its ``bounds`` are
+    the three, for a Dec already built. It builds its Dec from the mantissa
+    it has checked, in one frame per value."""
 
     def check(raw: object) -> Dec:
         if not isinstance(raw, str):
@@ -111,6 +112,7 @@ def _decimal(low: int, high: int, message: str) -> Callable[[object], Dec]:
         value.mantissa = mantissa
         return value
 
+    check.bounds = (low, high, message)
     return check
 
 

@@ -207,59 +207,11 @@ def state_to_dict(state: GlobalState) -> dict[str, Any]:
     }
 
 
-def _content_key(state: GlobalState) -> tuple:
-    """Every leaf state_to_dict writes, as ints and strings in insertion
-    order (each Dec as its mantissa), so states with equal keys have equal
-    dict forms. Positions are one flat run: each account, its position
-    count, then symbol and three mantissas per position."""
-    cursor = state.cursor
-    params = state.params
-    positions: list = []
-    extend = positions.extend
-    for account, holdings in state.participants.items():
-        extend((account, len(holdings)))
-        for symbol, p in holdings.items():
-            extend((
-                symbol, p.ctoken_balance.mantissa, p.borrow_principal.mantissa, p.borrow_index_snapshot.mantissa
-            ))
-    return (
-        None if cursor is None else (cursor.block, cursor.tx_index, cursor.log_index),
-        params.close_factor.mantissa,
-        params.liquidation_incentive.mantissa,
-        tuple([
-            (
-                symbol, m.asset.symbol, m.asset.decimals, m.interest_model.model_id,
-                tuple([(k, v.mantissa) for k, v in m.interest_model.params.items()]),
-                m.total_borrows.mantissa, m.total_ctoken_supply.mantissa, m.collateral_factor.mantissa,
-                m.borrow_index.mantissa, m.exchange_rate.mantissa,
-            )
-            for symbol, m in state.markets.items()
-        ]),
-        tuple(positions),
-        tuple([(symbol, p.mantissa) for symbol, p in state.price_table.prices.items()]),
-    )
-
-
-# The last state state_bytes encoded, as (its content key, its bytes).
-_last_encoded: tuple[tuple, bytes] | None = None
-
-
 def state_bytes(state: GlobalState) -> bytes:
     """Canonical bytes of state_to_dict(state): what the state digest
-    hashes and a snapshot stores.
-
-    The last result is kept under the state's content key, so a state
-    encoded again unchanged (digested, then saved) is encoded once. The key
-    is built from the state itself, so copies, loads and direct writes
-    need no invalidation.
-    """
-    global _last_encoded
-    key = _content_key(state)
-    if _last_encoded is not None and _last_encoded[0] == key:
-        return _last_encoded[1]
-    encoded = _encode_canonical(state_to_dict(state))
-    _last_encoded = (key, encoded)
-    return encoded
+    hashes and a snapshot stores, encoded afresh on every call. A saved
+    state's digest comes from save_snapshot, which hashes what it writes."""
+    return _encode_canonical(state_to_dict(state))
 
 
 # The keys state_to_dict writes, per object. The decoder takes exactly these.

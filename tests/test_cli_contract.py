@@ -14,6 +14,7 @@ import pytest
 from plfkit.cli import main
 from plfkit.events import serialize_event, write_events
 from plfkit.fixedpoint import Dec
+from plfkit.model import dict_digest
 from plfkit.scenarios import ConcentrationPlan, default_spec, spec_to_dict
 from streams import ACCT_A, ACCT_B, hand_fixture, make_event
 
@@ -321,8 +322,10 @@ def test_tampered_snapshot(capsys, tmp_path, command):
     assert "snapshot digest mismatch" in err
 
 
-# States the decoder rejects before any digest is taken: a container that is
-# not a JSON object, and a canonical decimal beyond the carrier.
+# States a load rejects before any digest is taken: a container that is not
+# a JSON object, a canonical decimal beyond the carrier or outside the range
+# of its field. Each is re-digested, so that the check refuses it, not the
+# digest.
 _MALFORMED_STATES = {
     "markets-list": (lambda state: state.update(markets=[]), "state['markets'] must be an object, not list"),
     "prices-list": (lambda state: state.update(prices=[]), "state['prices'] must be an object, not list"),
@@ -350,6 +353,44 @@ _MALFORMED_STATES = {
         lambda state: state["markets"]["DAI"]["asset"].update(symbol="ETH"),
         "state['markets']['DAI']['asset']['symbol'] must be the market's key 'DAI', not 'ETH'",
     ),
+    # Values out of the range an event can write. An index snapshot of 0
+    # would divide by zero in every valuation of the position.
+    "borrow-index-snapshot-0": (
+        lambda state: state["participants"][ACCT_A]["DAI"].update(borrow_index_snapshot="0"),
+        f"state['participants']['{ACCT_A}']['DAI']['borrow_index_snapshot']: index must be at least 1",
+    ),
+    "borrow-index-0.5": (
+        lambda state: state["markets"]["ETH"].update(borrow_index="0.5"),
+        "state['markets']['ETH']['borrow_index']: index must be at least 1",
+    ),
+    "price--1": (
+        lambda state: state["prices"].update(DAI="-1"),
+        "state['prices']['DAI']: value must be positive",
+    ),
+    "exchange-rate-0": (
+        lambda state: state["markets"]["DAI"].update(exchange_rate="0"),
+        "state['markets']['DAI']['exchange_rate']: value must be positive",
+    ),
+    "collateral-factor-1.5": (
+        lambda state: state["markets"]["DAI"].update(collateral_factor="1.5"),
+        "state['markets']['DAI']['collateral_factor']: factor must lie in [0, 1]",
+    ),
+    "ctoken-balance--5": (
+        lambda state: state["participants"][ACCT_B]["ETH"].update(ctoken_balance="-5"),
+        f"state['participants']['{ACCT_B}']['ETH']['ctoken_balance']: amount must be non-negative",
+    ),
+    "borrow-principal--1": (
+        lambda state: state["participants"][ACCT_B]["DAI"].update(borrow_principal="-1"),
+        f"state['participants']['{ACCT_B}']['DAI']['borrow_principal']: amount must be non-negative",
+    ),
+    "total-borrows--1": (
+        lambda state: state["markets"]["ETH"].update(total_borrows="-1"),
+        "state['markets']['ETH']['total_borrows']: amount must be non-negative",
+    ),
+    "total-ctoken-supply--1": (
+        lambda state: state["markets"]["ETH"].update(total_ctoken_supply="-1"),
+        "state['markets']['ETH']['total_ctoken_supply']: amount must be non-negative",
+    ),
 }
 
 
@@ -357,7 +398,12 @@ _MALFORMED_STATES = {
 @pytest.mark.parametrize("command", sorted(_SNAPSHOT_COMMANDS))
 def test_malformed_snapshot_state(capsys, tmp_path, command, state):
     edit, reason = _MALFORMED_STATES[state]
-    stream, snap = _edited_hand_snapshot(capsys, tmp_path, lambda document: edit(document["state"]))
+
+    def redigested(document):
+        edit(document["state"])
+        document["digest"] = dict_digest(document["state"])
+
+    stream, snap = _edited_hand_snapshot(capsys, tmp_path, redigested)
     argv = [part.format(stream=stream, snap=snap) for part in _SNAPSHOT_COMMANDS[command]]
     code, out, err = _run(capsys, argv)
     _assert_one_error_line(code, out, err)

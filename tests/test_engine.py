@@ -631,7 +631,9 @@ def test_stream_commands_take_no_digest(monkeypatch, tmp_path, argv):
 
     stream = tmp_path / "hand.jsonl"
     write_events(str(stream), hand_fixture())
-    monkeypatch.setattr(plfkit.engine, "state_digest", refuse)
+    # The engine's binding and the CLI's, which cmd_replay calls.
+    for module in (plfkit.engine, plfkit.cli):
+        monkeypatch.setattr(module, "state_digest", refuse)
     assert main(argv + ["--events", str(stream)]) == 0
 
 

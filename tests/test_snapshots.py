@@ -1,13 +1,14 @@
 import hashlib
 import json
+import re
 import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from plfkit import engine, model, snapshots
+from plfkit import cli, engine, model, snapshots
 from plfkit.cli import main
 from plfkit.engine import replay, state_digest
 from plfkit.events import OrderingKey, _encode_canonical, write_events
@@ -23,7 +24,7 @@ from plfkit.snapshots import (
     verify_snapshot,
 )
 from streams import hand_fixture
-from test_analytics import books, draw_write, generated_stream
+from test_analytics import UNIT, books, draw_write, generated_stream
 
 
 @pytest.fixture
@@ -201,9 +202,7 @@ class TestWorkDoneOnce:
         counted("state_to_dict", model)
         counted("state_bytes", snapshots, model, engine)
         counted("dict_digest", snapshots, model)
-        counted("state_digest", engine)
-        # No state encoded before the test, so that every encoding counts.
-        monkeypatch.setattr(model, "_last_encoded", None)
+        counted("state_digest", engine, cli)
         return counts
 
     @pytest.fixture
@@ -222,8 +221,12 @@ class TestWorkDoneOnce:
         assert calls == {"state_bytes": 1, "state_to_dict": 1}
         assert meta.digest == state_digest(replayed_state)
 
-    def test_replay_to_snapshot_builds_and_encodes_the_dict_form_once(self, calls, monkeypatch, tmp_path):
-        """The closing digest and the saved document share one encoding."""
+    @pytest.mark.parametrize("resume", [False, True], ids=["one-shot", "snapshot-in"])
+    def test_replay_to_snapshot_builds_and_encodes_the_dict_form_once(
+        self, calls, monkeypatch, tmp_path, capsys, resume
+    ):
+        """The digest replay prints is the saved document's: the state is
+        encoded once, by the save, and never digested apart from it."""
         encoded = Counter()
         encode = snapshots._encode_canonical
 
@@ -237,12 +240,27 @@ class TestWorkDoneOnce:
             monkeypatch.setattr(module, "_encode_canonical", counting)
         stream = tmp_path / "hand.jsonl"
         write_events(str(stream), hand_fixture())
+        argv = ["replay", "--events", str(stream)]
+        if resume:
+            mid = str(tmp_path / "mid.snap")
+            assert main(argv + ["--at-block", "6", "--snapshot-out", mid]) == 0
+            argv += ["--snapshot-in", mid]
+            calls.clear()
+            encoded.clear()
+            capsys.readouterr()
         snap = str(tmp_path / "end.snap")
-        assert main(["replay", "--events", str(stream), "--snapshot-out", snap]) == 0
-        # One digest and one save ask for the bytes; only the first builds them.
-        assert calls == {"state_digest": 1, "state_bytes": 2, "state_to_dict": 1}
-        assert encoded == {"state": 1}
-        assert verify_snapshot(snap).digest == state_digest(replay(GlobalState.fresh(), hand_fixture())[0])
+        assert main(argv + ["--snapshot-out", snap, "--format", "json"]) == 0
+        if resume:
+            # The load reads and digests the stored dict form, which it
+            # encodes once; the save then encodes the end state once.
+            assert calls == {"_read_document": 1, "state_from_dict": 1, "dict_digest": 1,
+                             "state_bytes": 1, "state_to_dict": 1}
+            assert encoded == {"state": 2}
+        else:
+            assert calls == {"state_bytes": 1, "state_to_dict": 1}
+            assert encoded == {"state": 1}
+        digest = state_digest(replay(GlobalState.fresh(), hand_fixture())[0])
+        assert json.loads(capsys.readouterr().out)[0]["digest"] == verify_snapshot(snap).digest == digest
 
     def test_stored_digest_still_checked(self, snap, calls):
         with open(snap) as handle:
@@ -308,6 +326,34 @@ def decimals(state: dict) -> list[tuple[dict, str]]:
     return [(holder, key) for holder in holders for key, value in holder.items() if isinstance(value, str)]
 
 
+def in_stream_ranges(state: GlobalState) -> bool:
+    """Whether every value lies in a range a stream can write: amounts
+    non-negative, indices at least 1, rates and prices positive, collateral
+    factors in [0, 1]. Stated apart from the package's checkers."""
+    markets = all(
+        m.total_borrows.mantissa >= 0 and m.total_ctoken_supply.mantissa >= 0
+        and 0 <= m.collateral_factor.mantissa <= UNIT and m.borrow_index.mantissa >= UNIT
+        and m.exchange_rate.mantissa > 0
+        for m in state.markets.values()
+    )
+    positions = all(
+        p.ctoken_balance.mantissa >= 0 and p.borrow_principal.mantissa >= 0 and p.borrow_index_snapshot.mantissa >= UNIT
+        for holdings in state.participants.values()
+        for p in holdings.values()
+    )
+    return markets and positions and all(p.mantissa > 0 for p in state.price_table.prices.values())
+
+
+# Canonical literals just outside each range, by the fields it covers.
+OUT_OF_RANGE = {
+    ("total_borrows", "total_ctoken_supply", "ctoken_balance", "borrow_principal"):
+        ("-0.000000000000000001", "-5"),
+    ("borrow_index", "borrow_index_snapshot"): ("0.999999999999999999", "0", "-1"),
+    ("exchange_rate", "price"): ("0", "-1"),
+    ("collateral_factor",): ("1.000000000000000001", "1.5", "-0.000000000000000001"),
+}
+
+
 # Spellings that Dec() reads but Dec.__str__ never writes, or that Dec()
 # does not read at all.
 NON_CANONICAL = ("0.50", "+1", "01", "-0", "1.", ".5", "1e3")
@@ -322,7 +368,11 @@ class TestCanonicalForm:
         assert _encode_canonical(state_to_dict(state_from_dict(form))) == _encode_canonical(form)
         with tempfile.TemporaryDirectory() as tmp:
             save_snapshot(state, f"{tmp}/s.snap")
-            assert read_snapshot(f"{tmp}/s.snap")[1].digest == state_digest(state)
+            if in_stream_ranges(state):
+                assert read_snapshot(f"{tmp}/s.snap")[1].digest == state_digest(state)
+            else:  # a direct write left a value no stream can write
+                with pytest.raises(SnapshotError, match="snapshot state malformed: state\\["):
+                    read_snapshot(f"{tmp}/s.snap")
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -353,6 +403,36 @@ class TestCanonicalForm:
                 json.dump(document, handle)
             with pytest.raises(SnapshotError, match="snapshot state malformed"):
                 read_snapshot(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_out_of_range_value_is_refused(self, data):
+        """A value outside the range a stream can write fails the load with
+        its path named, though the digest was recomputed."""
+        events = generated_stream(data.draw(st.integers(0, 2 ** 32)), data.draw(st.integers(40, 200)), 4)
+        state, _ = replay(GlobalState.fresh(), events[: data.draw(st.integers(1, len(events)))])
+        assert in_stream_ranges(state)
+        form = state_to_dict(state)
+        fields = [(("prices", symbol), "price", form["prices"]) for symbol in form["prices"]]
+        for symbol, market in form["markets"].items():
+            fields += [(("markets", symbol, name), name, market) for name in market if isinstance(market[name], str)]
+        for account, holdings in form["participants"].items():
+            fields += [
+                (("participants", account, symbol, name), name, position)
+                for symbol, position in holdings.items()
+                for name in position
+            ]
+        assume(fields)
+        path, name, holder = data.draw(st.sampled_from(fields))
+        holder[path[-1]] = data.draw(st.sampled_from(next(v for k, v in OUT_OF_RANGE.items() if name in k)))
+        where = "state" + "".join(f"[{part!r}]" for part in path)
+        with tempfile.TemporaryDirectory() as tmp:
+            snap = f"{tmp}/s.snap"
+            with open(snap, "w") as handle:
+                json.dump({"format_version": FORMAT_VERSION, "cursor": form["cursor"],
+                           "digest": hashlib.sha256(_encode_canonical(form)).hexdigest(), "state": form}, handle)
+            with pytest.raises(SnapshotError, match=f"^snapshot state malformed: {re.escape(where)}: "):
+                read_snapshot(snap)
 
     def test_respelled_close_factor_is_refused(self, replayed_state, tmp_path):
         """The same value spelled otherwise is another document: "0.50" for

@@ -2,19 +2,20 @@
 
 track_efficiency observes engine._fold, the one event loop, timing how long
 positions stay liquidable before someone liquidates them. After each event
-it values, through risk.LiquidableCache.liquidable, only the accounts whose
-sign may have changed: those whose positions the event wrote, and the
-holders of the market it re-priced whose movement budget that move used
-up (LiquidableCache.moved). A holder's budget bounds how far its markets
-may move before its sign, or any check of a full valuation, could change;
-within it the holder is not touched at all. A valued account has only the
-terms whose inputs changed re-priced, stale terms of skipped moves
-included, and its sums re-added in holdings order. So the sign and every
-failure are exactly those of a full valuation, and the cost follows the
-accounts that come near the liquidation line, not the holders of each
-re-priced market. Full re-evaluation values every account with
-account_health after every event, without the cache: it is the uncached
-cross-check (the oracle-test mode).
+it values, through risk.LiquidableCache.liquidable, only the accounts that
+LiquidableCache.changed names from engine._apply's report: those whose
+positions the event wrote, and the holders of the market it re-priced (a
+listing counts as one) whose movement budget that move used up. A
+holder's budget bounds how far its markets may move before its sign, or
+any check of a full valuation, could change; within it the holder is not
+touched at all. A valued account has only the terms whose inputs changed
+re-priced, stale terms of skipped moves included, and its sums re-added
+in holdings order. So the sign and every failure are exactly those of a
+full valuation, and the cost follows the accounts that come near the
+liquidation line, not the holders of each re-priced market. Full
+re-evaluation values every account with account_health after every
+event, without the cache: it is the uncached cross-check (the oracle-test
+mode).
 funds_time_series folds the stream in one pass and values each sample block
 before the first event beyond it applies: the markets' supplied and
 borrowed USD on int mantissas, with Dec's truncation order and carrier
@@ -125,16 +126,7 @@ def track_efficiency(
                 timeline.streaks.append(Streak(account=borrower, start=start, end=event.key))
             timeline.liquidations.append(record)
 
-        if full_reeval:
-            dirty = set(state.participants)
-        else:
-            dirty = set(accounts)
-            if repriced is not None:
-                dirty.update(cache.moved(repriced))
-            elif event.kind == "MarketListed":
-                cache.listed(event.market)
-
-        for account in sorted(dirty):
+        for account in sorted(state.participants) if full_reeval else cache.changed(accounts, repriced):
             underwater = liquidable(account)
             if underwater and account not in open_streaks:
                 open_streaks[account] = event.key

@@ -98,8 +98,6 @@ def _shock_list(text: str) -> list[Dec]:
         if value.is_negative() or value >= ONE:
             raise argparse.ArgumentTypeError(f"shock {piece} outside [0, 1)")
         shocks.append(value)
-    if not shocks:
-        raise argparse.ArgumentTypeError("at least one shock required")
     return shocks
 
 

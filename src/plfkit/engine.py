@@ -178,7 +178,7 @@ def _transition(
         state.markets[symbol] = MarketState.listed(
             symbol, payload["initial_exchange_rate"], payload["initial_collateral_factor"]
         )
-        return (), None
+        return (), symbol
 
     if kind == "PriceUpdate":
         # Prices may arrive before the market is listed; the table is

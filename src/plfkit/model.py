@@ -61,12 +61,6 @@ class ProtocolParams:
     close_factor: Dec = ZERO
     liquidation_incentive: Dec = ZERO
 
-    def __post_init__(self):
-        if self.close_factor < ZERO or self.close_factor > ONE:
-            raise ValueError("close factor must lie in [0, 1]")
-        if self.liquidation_incentive < ZERO:
-            raise ValueError("liquidation incentive must be non-negative")
-
 
 @dataclass(slots=True)
 class MarketState:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .fixedpoint import (
     MANTISSA_BOUND, ONE, SCALE, ZERO, Dec, DecOverflowError, checked, trunc_div, trunc_mul, trunc_muldiv,
@@ -241,8 +241,8 @@ class LiquidableCache:
     at every partial sum, and the ratio account_health computes is checked
     too, so a valuation fails exactly where account_health fails.
 
-    ``moved`` serves a caller that reports every re-pricing of a market
-    and every listing (``listed``), as track_efficiency does from
+    ``changed`` serves a caller that reports each event's written accounts
+    and the market it re-priced or listed, as track_efficiency does from
     engine._apply's report. Each market keeps a movement clock: a move
     advances it by the largest relative change of the market's scales
     (``_scales``) since its previous move, rounded up, or by more than any
@@ -250,7 +250,7 @@ class LiquidableCache:
     account gets a budget (``_budget``): while no market where it holds a
     non-empty position has moved further than the budget since, its sign
     and every check of a full valuation provably stay as they were. A move
-    returns only the holders whose budget it used up, from its market's
+    adds only the holders whose budget it used up, from its market's
     heap of deadlines; the other holders are not touched. Budgets are
     worked out at the first move after a valuation, so valuations between
     moves cost no more. Heaps are kept within a small multiple of the
@@ -265,10 +265,9 @@ class LiquidableCache:
         # Accounts valued since the last move: (power, borrow, collateral)
         # of the valuation, or None where a term was negative.
         self._valued: dict[str, tuple[int, int, int] | None] = {}
-        self._clocks: dict[str, _Clock] = {}
+        prices = state.price_table.prices
+        self._clocks = {symbol: _Clock(market, prices.get(symbol)) for symbol, market in state.markets.items()}
         self._generations: dict[str, int] = {}  # account -> its live entries' generation
-        for symbol in state.markets:
-            self.listed(symbol)
 
     def liquidable(self, account: str) -> bool:
         state = self._state
@@ -314,33 +313,31 @@ class LiquidableCache:
             valued[account] = power, borrow, collateral
         return surplus < 0
 
-    def listed(self, symbol: str) -> None:
-        """Start market ``symbol``'s clock at its inputs as they stand, for
-        a market listed since this cache was made."""
-        self._clocks[symbol] = _Clock(self._state.markets[symbol], self._state.price_table.prices.get(symbol))
-
-    def moved(self, symbol: str) -> list[str]:
-        """The accounts valued here whose sign may have changed since their
-        last valuation, for a caller that reports here each change of
-        market ``symbol``'s exchange rate, collateral factor, borrow index
-        or price right after it is made, and each listing to ``listed``.
-        Every other account valued here keeps its last sign, and a
-        valuation of it now would pass every check."""
-        self._schedule()
+    def changed(self, accounts: Iterable[str], repriced: str | None) -> list[str]:
+        """The accounts to value after an event, in address order: the
+        ``accounts`` it wrote and the holders valued here whose sign may
+        have changed since their last valuation, for a caller that reports
+        here, right after each event, the market whose exchange rate,
+        collateral factor, borrow index or price it set, or that it listed
+        (``repriced``). Every other account valued here keeps its last sign,
+        and a valuation of it now would pass every check."""
+        dirty = set(accounts)
         state = self._state
-        market = state.markets.get(symbol)
-        if market is None:
-            return []  # an asset priced before it is listed has no holders
-        clock = self._clocks[symbol]
-        if not clock.move(market, state.price_table.prices.get(symbol)):
-            return []  # no input of the market moved
-        due, time, generations = clock.due, clock.time, self._generations
-        expired = []
-        while due and due[0][0] < time:
-            _, account, generation = heappop(due)
-            if generations[account] == generation:
-                expired.append(account)
-        return expired
+        market = state.markets.get(repriced)  # None if nothing moved or an unlisted asset was priced
+        if market is not None:
+            price = state.price_table.prices.get(repriced)
+            clock = self._clocks.get(repriced)
+            if clock is None:  # listed since this cache was made: no holders yet
+                self._clocks[repriced] = _Clock(market, price)
+            else:
+                self._schedule()
+                if clock.move(market, price):
+                    due, time, generations = clock.due, clock.time, self._generations
+                    while due and due[0][0] < time:
+                        _, account, generation = heappop(due)
+                        if generations[account] == generation:
+                            dirty.add(account)
+        return sorted(dirty)
 
     def _schedule(self) -> None:
         """Enter each account valued since the last move in the heap of

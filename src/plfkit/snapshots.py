@@ -84,9 +84,13 @@ def _read_document(path: str) -> dict:
     return document
 
 
-# For each decimal an event writes to a market or a position, the bounds of
-# the parser's checker for it: (name, low, high, message). A snapshot may
-# hold no value that no stream can write.
+# For each decimal of the params, a market or a position, the bounds of the
+# checker that admits it from outside: (name, low, high, message). That is
+# the event parser's, or the spec validator's for the liquidation incentive,
+# which no event writes. A snapshot may hold only values an input can.
+_PARAM_RANGES = tuple((name, *check.bounds) for name, check in (
+    ("close_factor", _dec_fraction), ("liquidation_incentive", _dec_nonneg),
+))
 _MARKET_RANGES = tuple((name, *check.bounds) for name, check in (
     ("total_borrows", _dec_nonneg), ("total_ctoken_supply", _dec_nonneg), ("collateral_factor", _dec_fraction),
     ("borrow_index", _dec_index), ("exchange_rate", _dec_positive),
@@ -102,7 +106,10 @@ def _malformed(message: str, *path: str) -> SnapshotError:
 
 
 def _check_ranges(state: GlobalState) -> None:
-    """Each market, position and price value lies in its checker's range."""
+    """Each param, market, position and price value lies in its checker's range."""
+    for name, low, high, message in _PARAM_RANGES:
+        if not low <= getattr(state.params, name).mantissa <= high:
+            raise _malformed(message, "params", name)
     for symbol, market in state.markets.items():
         for name, low, high, message in _MARKET_RANGES:
             if not low <= getattr(market, name).mantissa <= high:

@@ -104,6 +104,31 @@ class TestTrackEfficiency:
             Streak(account=ACCT_A, start=OrderingKey(10, 0, 0), end=None),
         ]
 
+    def test_asset_priced_before_its_listing(self):
+        # ETH is priced before it is listed, so its listing re-prices it:
+        # the later small drop must still reach A, whose power falls from
+        # 75 to 73.875 against 74 of debt.
+        events = [
+            make_event(1, 0, 0, "PriceUpdate", "ETH", price_usd=Dec(100)),
+            make_event(1, 1, 0, "MarketListed", "ETH",
+                       initial_exchange_rate=Dec("0.02"), initial_collateral_factor=Dec("0.75")),
+            make_event(1, 2, 0, "MarketListed", "DAI",
+                       initial_exchange_rate=Dec("0.02"), initial_collateral_factor=Dec("0.75")),
+            make_event(1, 3, 0, "PriceUpdate", "DAI", price_usd=ONE),
+            make_event(2, 0, 0, "Mint", "ETH", account=ACCT_A, amount_underlying=ONE, amount_ctokens=Dec(50)),
+            make_event(2, 1, 0, "Mint", "DAI", account=ACCT_B,
+                       amount_underlying=Dec(1000), amount_ctokens=Dec(50000)),
+            make_event(3, 0, 0, "Borrow", "DAI", account=ACCT_A, amount_underlying=Dec(74)),
+            make_event(4, 0, 0, "PriceUpdate", "ETH", price_usd=Dec("98.5")),
+            make_event(6, 0, 0, "LiquidateBorrow", "DAI", borrower=ACCT_A, liquidator=ACCT_B,
+                       repay_amount_underlying=Dec(30), collateral_market="ETH", seized_ctokens=Dec(20)),
+        ]
+        timeline = track_efficiency(GlobalState.fresh(), events)
+        assert timeline == reference_track_efficiency(GlobalState.fresh(), events)
+        assert timeline == track_efficiency(GlobalState.fresh(), events, full_reeval=True)
+        assert [(record.account, record.blocks_elapsed) for record in timeline.liquidations] == [(ACCT_A, 2)]
+        assert timeline.warnings == []
+
     def test_liquidation_of_healthy_account_warns(self):
         events = hand_fixture()[:15]  # A never goes underwater
         events.append(make_event(9, 1, 0, "LiquidateBorrow", "DAI",
@@ -978,21 +1003,16 @@ def failing_book(*holdings: tuple[str, int, int, int, int | None]) -> GlobalStat
 
 def assert_skipped_holders_keep_their_sign(state: GlobalState, events) -> None:
     """Fold ``events`` into ``state`` with LiquidableCache told of every
-    move and listing, valuing the accounts each event wrote and those its
-    move returns. After every event, each account valued before and left
-    out must still have the sign of its last valuation, and a fresh
-    account_health of it must pass every check. Stops at the first
-    valuation or transition that fails."""
+    event, valuing the accounts its ``changed`` returns. After every event,
+    each account valued before and left out must still have the sign of its
+    last valuation, and a fresh account_health of it must pass every check.
+    Stops at the first valuation or transition that fails."""
     cache = LiquidableCache(state)
     signs = {}
 
     def observe(event, warnings, accounts, repriced):
-        dirty = set(accounts)
-        if repriced is not None:
-            dirty.update(cache.moved(repriced))
-        elif event.kind == "MarketListed":
-            cache.listed(event.market)
-        for account in sorted(dirty):
+        dirty = cache.changed(accounts, repriced)
+        for account in dirty:
             signs[account] = cache.liquidable(account)
         for account, sign in signs.items():
             if account not in dirty:

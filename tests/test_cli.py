@@ -544,6 +544,16 @@ class TestCommonBehavior:
         assert (code, out) == (2, "")
         assert "--at-block" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,message", [
+        (("sensitivity", "--asset", "SHK", "--shocks", "0,,0.1"), "argument --shocks: empty shock entry"),
+        (("replay", "--at-block", "x"), "argument --at-block: not an integer: 'x'"),
+        (("replay", "--at-block", "-1"), "argument --at-block: value must not be negative"),
+    ], ids=["empty-shock", "at-block-x", "at-block-negative"])
+    def test_bad_argument_is_usage_error(self, capsys, files, argv, message):
+        code, out, err = run(capsys, argv[0], "--events", files["sensitivity"], *argv[1:])
+        assert (code, out) == (2, "")
+        assert message in err and "Traceback" not in err
+
     def test_out_file_instead_of_stdout(self, capsys, files, tmp_path):
         target = tmp_path / "table.csv"
         code, out, _ = run(capsys, "replay", "--events", files["hand"],

@@ -371,6 +371,14 @@ _MALFORMED_STATES = {
         lambda state: state["markets"]["DAI"].update(exchange_rate="0"),
         "state['markets']['DAI']['exchange_rate']: value must be positive",
     ),
+    "close-factor-1.5": (
+        lambda state: state["params"].update(close_factor="1.5"),
+        "state['params']['close_factor']: factor must lie in [0, 1]",
+    ),
+    "liquidation-incentive--0.1": (
+        lambda state: state["params"].update(liquidation_incentive="-0.1"),
+        "state['params']['liquidation_incentive']: amount must be non-negative",
+    ),
     "collateral-factor-1.5": (
         lambda state: state["markets"]["DAI"].update(collateral_factor="1.5"),
         "state['markets']['DAI']['collateral_factor']: factor must lie in [0, 1]",
@@ -409,6 +417,29 @@ def test_malformed_snapshot_state(capsys, tmp_path, command, state):
     _assert_one_error_line(code, out, err)
     prefix = f"cannot verify snapshot {snap}" if command == "snapshot-verify" else f"cannot load snapshot {snap}"
     assert err == f"error: {prefix}: snapshot state malformed: {reason}\n"
+
+
+def test_redeem_below_a_loaded_supply(capsys, tmp_path):
+    """A snapshot whose supply is below a holder's balance loads, as totals
+    are not checked on load; the Redeem that would take the supply below
+    zero then ends the resumed replay in one error line."""
+    stream = tmp_path / "s.jsonl"
+    write_events(str(stream), [
+        make_event(1, 0, 0, "MarketListed", "DAI", initial_exchange_rate=Dec(1), initial_collateral_factor=Dec("0.5")),
+        make_event(2, 0, 0, "Mint", "DAI", account=ACCT_A, amount_underlying=Dec(10), amount_ctokens=Dec(10)),
+        make_event(3, 0, 0, "Redeem", "DAI", account=ACCT_A, amount_underlying=Dec(8), amount_ctokens=Dec(8)),
+    ])
+    snap = tmp_path / "mid.snap"
+    assert main(["replay", "--events", str(stream), "--at-block", "2", "--snapshot-out", str(snap)]) == 0
+    document = json.loads(snap.read_text())
+    document["state"]["markets"]["DAI"]["total_ctoken_supply"] = "5"
+    document["digest"] = dict_digest(document["state"])
+    snap.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert _run(capsys, ["snapshot", "verify", "--snapshot", str(snap)])[0] == 0
+    code, out, err = _run(capsys, ["replay", "--events", str(stream), "--snapshot-in", str(snap)])
+    _assert_one_error_line(code, out, err)
+    assert err == "error: event 3:0:0: market 'DAI' ctoken supply would go negative\n"
 
 
 @pytest.mark.parametrize("header,value,expected", [

@@ -772,3 +772,18 @@ class TestFailedEventChangesNothing:
             else:
                 assert not injected, f"{event.kind} {event.payload} applied"
                 assert validate_state(state) == []
+
+    def test_redeem_below_zero_supply(self):
+        # Only a state whose supply is below a holder's balance gets here:
+        # a direct write, or a snapshot, since loads do not check totals.
+        state, _ = replay(GlobalState.fresh(), [
+            make_event(1, 0, 0, "MarketListed", "DAI", initial_exchange_rate=ONE, initial_collateral_factor=Dec("0.5")),
+            make_event(2, 0, 0, "Mint", "DAI", account=ACCT_A, amount_underlying=Dec(10), amount_ctokens=Dec(10)),
+        ])
+        state.markets["DAI"].total_ctoken_supply = Dec(5)
+        before, cursor = state_digest(state), state.cursor
+        redeem = make_event(3, 0, 0, "Redeem", "DAI", account=ACCT_A, amount_underlying=Dec(8), amount_ctokens=Dec(8))
+        with pytest.raises(TransitionError, match="^event 3:0:0: market 'DAI' ctoken supply would go negative$"):
+            apply_event(state, redeem)
+        assert state_digest(state) == before
+        assert state.cursor == cursor

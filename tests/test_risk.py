@@ -384,6 +384,33 @@ class TestKernelAgainstReference:
         with pytest.raises(MissingPriceError, match="DBT"):
             price_sensitivity(state, "SHK", [ZERO])
 
+    @staticmethod
+    def overflows_at_full_price() -> GlobalState:
+        """ACCT_A's collateral in SHK is worth 4e58 USD at half price and
+        8e58 at full price, beyond the carrier's 5.7e58."""
+        state = GlobalState.fresh()
+        state.markets["SHK"] = MarketState.listed("SHK", ONE, Dec("0.5"))
+        state.price_table.set("SHK", Dec(2))
+        state.participants[ACCT_A] = {"SHK": Position(ctoken_balance=Dec.from_mantissa(4 * 10 ** 76))}
+        return state
+
+    def test_failure_at_a_later_shock(self):
+        state = self.overflows_at_full_price()
+        assert len(price_sensitivity(state, "SHK", [Dec("0.5")])) == 1
+        shocks = [Dec("0.5"), ZERO]
+        assert outcome(price_sensitivity, state, "SHK", shocks) == ("DecOverflowError", None)
+        assert outcome(reference_sensitivity, state, "SHK", shocks) == ("DecOverflowError", None)
+
+    def test_earliest_failing_shock_comes_first(self):
+        # ACCT_B, after ACCT_A, holds the unpriced ETH: it fails at the
+        # first shock, before ACCT_A's overflow at the second.
+        state = self.overflows_at_full_price()
+        state.markets["ETH"] = MarketState.listed("ETH", ONE, ONE)
+        state.participants[ACCT_B] = {"SHK": Position(ctoken_balance=ONE), "ETH": Position(ctoken_balance=ONE)}
+        shocks = [Dec("0.5"), ZERO]
+        assert outcome(price_sensitivity, state, "SHK", shocks) == ("MissingPriceError", "ETH")
+        assert outcome(reference_sensitivity, state, "SHK", shocks) == ("MissingPriceError", "ETH")
+
 
 class TestValuationOverflow:
     def huge_state(self) -> GlobalState:

@@ -5,7 +5,7 @@ import tempfile
 from collections import Counter
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from plfkit import cli, engine, model, snapshots
@@ -327,9 +327,11 @@ def decimals(state: dict) -> list[tuple[dict, str]]:
 
 
 def in_stream_ranges(state: GlobalState) -> bool:
-    """Whether every value lies in a range a stream can write: amounts
-    non-negative, indices at least 1, rates and prices positive, collateral
-    factors in [0, 1]. Stated apart from the package's checkers."""
+    """Whether every value lies in a range a stream can write: amounts and
+    the liquidation incentive non-negative, indices at least 1, rates and
+    prices positive, the close factor and collateral factors in [0, 1].
+    Stated apart from the package's checkers."""
+    params = 0 <= state.params.close_factor.mantissa <= UNIT and state.params.liquidation_incentive.mantissa >= 0
     markets = all(
         m.total_borrows.mantissa >= 0 and m.total_ctoken_supply.mantissa >= 0
         and 0 <= m.collateral_factor.mantissa <= UNIT and m.borrow_index.mantissa >= UNIT
@@ -341,16 +343,16 @@ def in_stream_ranges(state: GlobalState) -> bool:
         for holdings in state.participants.values()
         for p in holdings.values()
     )
-    return markets and positions and all(p.mantissa > 0 for p in state.price_table.prices.values())
+    return params and markets and positions and all(p.mantissa > 0 for p in state.price_table.prices.values())
 
 
 # Canonical literals just outside each range, by the fields it covers.
 OUT_OF_RANGE = {
-    ("total_borrows", "total_ctoken_supply", "ctoken_balance", "borrow_principal"):
+    ("total_borrows", "total_ctoken_supply", "ctoken_balance", "borrow_principal", "liquidation_incentive"):
         ("-0.000000000000000001", "-5"),
     ("borrow_index", "borrow_index_snapshot"): ("0.999999999999999999", "0", "-1"),
     ("exchange_rate", "price"): ("0", "-1"),
-    ("collateral_factor",): ("1.000000000000000001", "1.5", "-0.000000000000000001"),
+    ("collateral_factor", "close_factor"): ("1.000000000000000001", "1.5", "-0.000000000000000001"),
 }
 
 
@@ -413,7 +415,8 @@ class TestCanonicalForm:
         state, _ = replay(GlobalState.fresh(), events[: data.draw(st.integers(1, len(events)))])
         assert in_stream_ranges(state)
         form = state_to_dict(state)
-        fields = [(("prices", symbol), "price", form["prices"]) for symbol in form["prices"]]
+        fields = [(("params", name), name, form["params"]) for name in form["params"]]
+        fields += [(("prices", symbol), "price", form["prices"]) for symbol in form["prices"]]
         for symbol, market in form["markets"].items():
             fields += [(("markets", symbol, name), name, market) for name in market if isinstance(market[name], str)]
         for account, holdings in form["participants"].items():
@@ -422,7 +425,6 @@ class TestCanonicalForm:
                 for symbol, position in holdings.items()
                 for name in position
             ]
-        assume(fields)
         path, name, holder = data.draw(st.sampled_from(fields))
         holder[path[-1]] = data.draw(st.sampled_from(next(v for k, v in OUT_OF_RANGE.items() if name in k)))
         where = "state" + "".join(f"[{part!r}]" for part in path)

@@ -8,14 +8,13 @@ positions the event wrote, and the holders of the market it re-priced (a
 listing counts as one) whose movement budget that move used up. A
 holder's budget bounds how far its markets may move before its sign, or
 any check of a full valuation, could change; within it the holder is not
-touched at all. A valued account has only the terms whose inputs changed
-re-priced, stale terms of skipped moves included, and its sums re-added
-in holdings order. So the sign and every failure are exactly those of a
-full valuation, and the cost follows the accounts that come near the
-liquidation line, not the holders of each re-priced market. Full
-re-evaluation values every account with account_health after every
-event, without the cache: it is the uncached cross-check (the oracle-test
-mode).
+touched at all. A valued account is valued in full, each position
+afresh, with its sums added in holdings order. So the sign and every
+failure are exactly those of a full valuation, and the cost follows the
+accounts that come near the liquidation line, not the holders of each
+re-priced market. Full re-evaluation values every account with
+account_health after every event, without the movement clocks: it is the
+cross-check (the oracle-test mode).
 funds_time_series folds the stream in one pass and values each sample block
 before the first event beyond it applies: the markets' supplied and
 borrowed USD on int mantissas, with Dec's truncation order and carrier

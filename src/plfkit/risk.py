@@ -37,6 +37,8 @@ _EMPTY_HEALTH = AccountHealth(ZERO, ZERO, ZERO, ZERO, None)
 
 # power, borrow value, collateral value, unpriced terms, missing price
 _Sums = tuple[int, int, int, tuple[int, int, int] | None, str | None]
+# A valuation's record for _budget: sums, debt, and (market, unpriced terms) per position
+_Record = tuple[tuple[int, int, int] | None, bool, list[tuple[str, tuple[int, int, int] | None]]]
 
 
 def _terms(position: Position, market: MarketState) -> tuple[int, int, int]:
@@ -230,23 +232,22 @@ class LiquidableCache:
     """``account_health(state, account).liquidable`` for the accounts of
     one state, valued only when their sign may have changed.
 
-    ``liquidable`` is the one exact valuation. Each (account, market) keeps
-    the collateral, power and borrow products of its last valuation beside
-    the seven values they came from: the position's cToken balance, borrow
-    principal and index snapshot, the market's exchange rate, collateral
-    factor and borrow index, and the price. A product is reused only while
-    all seven are the same objects or equal, so the answer stays exact
-    whatever changed the state: an event, a direct mutation or a replaced
-    position. Sums are re-added in holdings order with the carrier check
-    at every partial sum, and the ratio account_health computes is checked
-    too, so a valuation fails exactly where account_health fails.
+    ``liquidable`` is the one exact valuation. It values every non-empty
+    position afresh with ``_terms`` and ``_priced`` and adds the products
+    in holdings order, with the carrier check at every product and partial
+    sum; the ratio account_health computes is checked too. So whatever
+    changed the state (an event, a direct mutation or a replaced
+    position), a valuation answers or fails exactly as account_health
+    does.
 
     ``changed`` serves a caller that reports each event's written accounts
     and the market it re-priced or listed, as track_efficiency does from
     engine._apply's report. Each market keeps a movement clock: a move
     advances it by the largest relative change of the market's scales
     (``_scales``) since its previous move, rounded up, or by more than any
-    budget when that change is unbounded. After an exact valuation an
+    budget when that change is unbounded. Each valuation keeps a record of
+    its own: its sums, whether the account has a debt, and each non-empty
+    position's market and unpriced terms. From that record alone the
     account gets a budget (``_budget``): while no market where it holds a
     non-empty position has moved further than the budget since, its sign
     and every check of a full valuation provably stay as they were. A move
@@ -259,12 +260,8 @@ class LiquidableCache:
 
     def __init__(self, state: GlobalState):
         self._state = state
-        # account -> market -> (the seven inputs, (collateral, power, borrow)
-        # products, the unpriced terms of _terms)
-        self._products: dict[str, dict[str, tuple[tuple, tuple[int, int, int], tuple[int, int, int]]]] = {}
-        # Accounts valued since the last move: (power, borrow, collateral)
-        # of the valuation, or None where a term was negative.
-        self._valued: dict[str, tuple[int, int, int] | None] = {}
+        # Accounts valued since the last move -> their valuation's record
+        self._valued: dict[str, _Record] = {}
         prices = state.price_table.prices
         self._clocks = {symbol: _Clock(market, prices.get(symbol)) for symbol, market in state.markets.items()}
         self._generations: dict[str, int] = {}  # account -> its live entries' generation
@@ -275,42 +272,39 @@ class LiquidableCache:
         if not holdings:
             return False
         markets, prices = state.markets, state.price_table.prices
-        cached = self._products.get(account)
-        if cached is None:
-            cached = self._products[account] = {}
-        valued = self._valued
-        valued[account] = None
         power = borrow = collateral = 0
-        signed = False
-        for symbol, position in holdings.items():
-            ctokens, principal = position.ctoken_balance, position.borrow_principal
-            if not ctokens.mantissa and not principal.mantissa:
-                continue  # empty: valued as nothing, price or not
-            market = markets[symbol]
-            price = prices.get(symbol)
-            if price is None:
-                raise MissingPriceError(symbol)
-            inputs = (
-                ctokens, principal, position.borrow_index_snapshot, market.exchange_rate,
-                market.collateral_factor, market.borrow_index, price,
-            )
-            entry = cached.get(symbol)
-            if entry is None or entry[0] != inputs:
+        signed = debt = False
+        positions = []
+        try:
+            for symbol, position in holdings.items():
+                ctokens, principal = position.ctoken_balance.mantissa, position.borrow_principal.mantissa
+                if not ctokens and not principal:
+                    continue  # empty: valued as nothing, price or not
+                market = markets[symbol]
+                price = prices.get(symbol)
+                if price is None:
+                    raise MissingPriceError(symbol)
                 terms = _terms(position, market)
-                entry = cached[symbol] = inputs, _priced(terms, price.mantissa), terms
-            collateral_term, power_term, borrow_term = entry[1]
-            collateral = checked(collateral + collateral_term)
-            power = checked(power + power_term)
-            borrow = checked(borrow + borrow_term)
-            if collateral_term < 0 or power_term < 0 or borrow_term < 0:
-                signed = True
-        surplus = checked(power - borrow)
-        # account_health's ratio power / borrow must fit the carrier too. As
-        # |power| is below the bound, it can only overflow when |borrow| < 1.
-        if borrow and -SCALE < borrow < SCALE:
-            trunc_div(power, borrow)
-        if not signed:
-            valued[account] = power, borrow, collateral
+                positions.append((symbol, terms))
+                collateral_term, power_term, borrow_term = _priced(terms, price.mantissa)
+                collateral = checked(collateral + collateral_term)
+                power = checked(power + power_term)
+                borrow = checked(borrow + borrow_term)
+                if collateral_term < 0 or power_term < 0 or borrow_term < 0 or ctokens < 0:
+                    signed = True
+                if principal:
+                    debt = True
+                    if principal < 0 or position.borrow_index_snapshot.mantissa <= 0:
+                        signed = True
+            surplus = checked(power - borrow)
+            # account_health's ratio power / borrow must fit the carrier too. As
+            # |power| is below the bound, it can only overflow when |borrow| < 1.
+            if borrow and -SCALE < borrow < SCALE:
+                trunc_div(power, borrow)
+        except BaseException:  # no sign to keep: valued at the next move of any market held
+            self._valued[account] = None, False, [(symbol, None) for symbol in holdings]
+            raise
+        self._valued[account] = None if signed else (power, borrow, collateral), debt, positions
         return surplus < 0
 
     def changed(self, accounts: Iterable[str], repriced: str | None) -> list[str]:
@@ -346,11 +340,10 @@ class LiquidableCache:
         valued = self._valued
         if not valued:
             return
-        participants, products, clocks = self._state.participants, self._products, self._clocks
-        generations = self._generations
-        for account, sums in valued.items():
+        clocks, generations = self._clocks, self._generations
+        for account, record in valued.items():
             generation = generations[account] = generations.get(account, 0) + 1
-            budget, held = _budget(participants[account], products[account], sums, clocks)
+            budget, held = _budget(record, clocks)
             for clock in held:
                 heappush(clock.due, (clock.time + budget, account, generation))
         valued.clear()
@@ -361,16 +354,13 @@ class LiquidableCache:
                 heapify(clock.due)
 
 
-def _budget(
-    holdings: Mapping[str, Position],
-    cached: Mapping[str, tuple[tuple, tuple[int, int, int], tuple[int, int, int]]],
-    sums: tuple[int, int, int] | None,
-    clocks: dict[str, _Clock],
-) -> tuple[int, list[_Clock]]:
-    """An account's movement budget after an exact valuation, in clock
-    units, and the clocks of the markets of its non-empty positions.
-    ``sums`` are the valuation's (power, borrow, collateral), None where a
-    term was negative; ``cached`` holds its inputs and unpriced terms.
+def _budget(record: _Record, clocks: dict[str, _Clock]) -> tuple[int, list[_Clock]]:
+    """An account's movement budget after a valuation, in clock units, and
+    the clocks of the markets of its non-empty positions, from that
+    valuation's record alone: its (power, borrow, collateral), None where a
+    term or a position input was negative or the valuation failed; whether
+    the account has a debt; and each non-empty position's market and
+    unpriced terms (after a failure, each position's market).
 
     Within budget b, each market m of the account has moved by G_m <= b
     <= 1/4 since the valuation. A market with no move has the same inputs,
@@ -394,31 +384,18 @@ def _budget(
       with no principal stays 0.
     Any other account gets budget 0: it is valued at its next move.
     """
-    held = []
+    sums, debt, positions = record
+    held = [clocks[symbol] for symbol, _ in positions]
+    if sums is None:
+        return 0, held
     error = peak = 0
-    debt = False
-    for symbol, position in holdings.items():
-        ctokens, principal = position.ctoken_balance.mantissa, position.borrow_principal.mantissa
-        if not ctokens and not principal:
-            continue
-        clock = clocks[symbol]
-        held.append(clock)
-        if sums is None:
-            continue
-        if ctokens < 0 or principal < 0 or (principal and position.borrow_index_snapshot.mantissa <= 0):
-            sums = None
-            continue
-        base, power_base, accrued = cached[symbol][2]
+    for (_, (base, power_base, accrued)), clock in zip(positions, held):
         error += clock.error
         top = (base if base > power_base else power_base) + clock.units
         if accrued > top:
             top = accrued
         if top > peak:
             peak = top
-        if principal:
-            debt = True
-    if sums is None:
-        return 0, held
     power, borrow, collateral = sums
     slack = abs(power - borrow) - 2 * error - 1
     if (

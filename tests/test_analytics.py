@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import plfkit.analytics
+import plfkit.risk
 from plfkit.analytics import (
     NOT_LIQUIDABLE_WARNING,
     CdfPoint,
@@ -1198,6 +1199,34 @@ class TestCachedValuationAgainstReference:
     def test_holders_an_edge_move_leaves_out_keep_their_sign(self, book, data):
         events = draw_events(data, book, data.draw(st.integers(1, 20)), edges=True)
         assert_skipped_holders_keep_their_sign(book, events)
+
+    @staticmethod
+    def sinking_walk() -> tuple[GlobalState, list[EventRecord]]:
+        """20.4 cETH at rate 1, factor 0.5 and 100 USD against 1,000 DAI
+        of debt (power / borrow 1.02), then twenty ETH drops of 0.2%: the
+        account turns liquidable at the tenth."""
+        book = failing_book(("ETH", 204 * UNIT // 10, 0, UNIT // 2, 100 * UNIT), ("DAI", 0, 1000 * UNIT, UNIT, UNIT))
+        price, events = Dec(100), []
+        for block in range(1, 21):
+            price = price * Dec("0.998")
+            events.append(make_event(block, 0, 0, "PriceUpdate", "ETH", price_usd=price))
+        return book, events
+
+    def test_holders_kept_out_by_a_sound_budget_keep_their_sign(self):
+        assert_skipped_holders_keep_their_sign(*self.sinking_walk())
+
+    def test_an_oversized_budget_is_caught(self, monkeypatch):
+        # Eight times each budget carries the account past its flip
+        # unvalued; the sign check sees it.
+        budget = plfkit.risk._budget
+
+        def oversized(*args):
+            size, held = budget(*args)
+            return 8 * size, held
+
+        monkeypatch.setattr(plfkit.risk, "_budget", oversized)
+        with pytest.raises(AssertionError):
+            assert_skipped_holders_keep_their_sign(*self.sinking_walk())
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 2 ** 32), st.integers(120, 320), st.integers(3, 8))

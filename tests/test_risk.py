@@ -1,12 +1,12 @@
 from typing import Mapping, Sequence
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from plfkit import risk
 from plfkit.engine import replay, state_digest
-from plfkit.fixedpoint import ONE, ZERO, Dec, DecOverflowError
+from plfkit.fixedpoint import MANTISSA_BOUND, ONE, SCALE, ZERO, Dec, DecOverflowError, trunc_mul
 from plfkit.model import (
     GlobalState,
     MarketState,
@@ -324,6 +324,33 @@ shock_lists = st.lists(st.one_of(percents, mantissas(0, 10 ** 18 - 1)), min_size
 percent_lists = st.lists(percents, min_size=1, max_size=6)
 
 
+@st.composite
+def carrier_crossings(draw):
+    """A huge book, a shocked symbol and two to six distinct percent
+    shocks, largest first, so that the shocked price rises row by row.
+    The first holding (in address order) that can take such a price
+    names the symbol, priced so that the holding's collateral term fits
+    the carrier at the first row and leaves it at a later one. The
+    accounts after its holder are dropped: a failure of theirs at the
+    first row would come first."""
+    state = draw(books(huge=True))
+    pcts = sorted(draw(st.lists(st.integers(0, 99), min_size=2, max_size=6, unique=True)), reverse=True)
+    shocks = [Dec(pct) / 100 for pct in pcts]
+    # At shock p% the term is about bound * (100 - p) / q.
+    q = draw(st.integers(101 - pcts[0], 100 - pcts[-1]))
+    accounts = sorted(state.participants)
+    for index, account in enumerate(accounts):
+        for symbol, position in state.participants[account].items():
+            base = trunc_mul(position.ctoken_balance.mantissa, state.markets[symbol].exchange_rate.mantissa)
+            price = MANTISSA_BOUND * SCALE * 100 // (max(base, 1) * q)
+            if 100 * SCALE <= price < MANTISSA_BOUND:
+                state.price_table.set(symbol, Dec.from_mantissa(price))
+                for later in accounts[index + 1:]:
+                    del state.participants[later]
+                return state, symbol, shocks
+    return state, draw(st.sampled_from(SYMBOLS)), shocks
+
+
 class TestKernelAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(books(), st.sampled_from(SYMBOLS), shock_lists)
@@ -336,6 +363,15 @@ class TestKernelAgainstReference:
         assert outcome(price_sensitivity, state, symbol, shocks) == outcome(
             reference_sensitivity, state, symbol, shocks
         )
+
+    @settings(max_examples=300, deadline=None)
+    @given(carrier_crossings())
+    def test_sensitivity_fails_at_a_later_shock_where_per_shock_valuation_fails(self, crossing):
+        state, symbol, shocks = crossing
+        result = outcome(price_sensitivity, state, symbol, shocks)
+        assert result == outcome(reference_sensitivity, state, symbol, shocks)
+        if result[0] != "ok" and outcome(price_sensitivity, state, symbol, shocks[:1])[0] == "ok":
+            event("fails only after the first shock")
 
     @settings(max_examples=300, deadline=None)
     @given(books(huge=True))

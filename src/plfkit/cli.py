@@ -149,7 +149,7 @@ def _fold_stream(
 def _load_snapshot(path: str) -> GlobalState:
     try:
         return load_snapshot(path)
-    except (SnapshotError, OSError) as exc:
+    except SnapshotError as exc:
         raise CliError(f"cannot load snapshot {path}: {exc}") from None
 
 
@@ -346,7 +346,7 @@ def cmd_snapshot_save(args: argparse.Namespace) -> int:
 def cmd_snapshot_load(args: argparse.Namespace) -> int:
     try:
         state, meta = read_snapshot(args.snapshot)
-    except (SnapshotError, OSError) as exc:
+    except SnapshotError as exc:
         raise CliError(f"cannot load snapshot {args.snapshot}: {exc}") from None
     print(
         f"markets={len(state.markets)} participants={len(state.participants)}",
@@ -359,7 +359,7 @@ def cmd_snapshot_load(args: argparse.Namespace) -> int:
 def cmd_snapshot_verify(args: argparse.Namespace) -> int:
     try:
         meta = verify_snapshot(args.snapshot)
-    except (SnapshotError, OSError) as exc:
+    except SnapshotError as exc:
         raise CliError(f"cannot verify snapshot {args.snapshot}: {exc}") from None
     _snapshot_row(args, args.snapshot, meta)
     return 0

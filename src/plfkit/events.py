@@ -86,16 +86,6 @@ class EventRecord:
 # ArithmeticError of an amount beyond the carrier) on bad input.
 
 
-def _dec(raw: object) -> Dec:
-    """The checker of a decimal string: its Dec, built in one frame from
-    the mantissa that _parse_mantissa has checked against the carrier."""
-    if not isinstance(raw, str):
-        raise ValueError("expected a decimal string")
-    value = _new_dec(Dec)
-    value.mantissa = _parse_mantissa(raw)
-    return value
-
-
 def _decimal(low: int, high: int, message: str) -> Callable[[object], Dec]:
     """The checker of a decimal string whose mantissa lies in [low, high];
     ``message`` is its error for a value outside, and its ``bounds`` are
@@ -120,6 +110,8 @@ _dec_nonneg = _decimal(0, MANTISSA_BOUND, "amount must be non-negative")
 _dec_positive = _decimal(1, MANTISSA_BOUND, "value must be positive")
 _dec_fraction = _decimal(0, SCALE, "factor must lie in [0, 1]")
 _dec_index = _decimal(SCALE, MANTISSA_BOUND, "index must be at least 1")
+# Any value of the carrier: _parse_mantissa already refuses the rest.
+_dec_any = _decimal(-MANTISSA_BOUND, MANTISSA_BOUND, "value must fit the signed 256-bit carrier")
 
 
 def _account(raw: object) -> str:
@@ -143,7 +135,7 @@ def _model_id(raw: object) -> str:
 def _params_blob(raw: object) -> dict[str, Dec]:
     if not isinstance(raw, dict):
         raise ValueError("expected an object of decimal strings")
-    return {str(k): _dec(v) for k, v in raw.items()}
+    return {str(k): _dec_any(v) for k, v in raw.items()}
 
 
 # market_field: which top-level key scopes the event ("market", "asset",

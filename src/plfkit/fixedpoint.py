@@ -9,6 +9,7 @@ bit-identical states on every platform.
 
 from __future__ import annotations
 
+import operator
 import re
 
 SCALE = 10 ** 18
@@ -222,40 +223,24 @@ class Dec:
 
     # -- Comparison --------------------------------------------------------
 
-    def __eq__(self, other: object) -> bool:
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.mantissa == other.mantissa
+    def _comparison(compare):
+        # One method per operator: the mantissas compared once a non-Dec
+        # operand is coerced, as the arithmetic does.
+        def method(self, other: object) -> bool:
+            if type(other) is not Dec:
+                other = self._coerce(other)
+                if other is None:
+                    return NotImplemented
+            return compare(self.mantissa, other.mantissa)
 
-    def __lt__(self, other: object) -> bool:
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.mantissa < other.mantissa
+        return method
 
-    def __le__(self, other: object) -> bool:
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.mantissa <= other.mantissa
-
-    def __gt__(self, other: object) -> bool:
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.mantissa > other.mantissa
-
-    def __ge__(self, other: object) -> bool:
-        if type(other) is not Dec:
-            other = self._coerce(other)
-            if other is None:
-                return NotImplemented
-        return self.mantissa >= other.mantissa
+    __eq__ = _comparison(operator.eq)
+    __lt__ = _comparison(operator.lt)
+    __le__ = _comparison(operator.le)
+    __gt__ = _comparison(operator.gt)
+    __ge__ = _comparison(operator.ge)
+    del _comparison
 
     def __hash__(self) -> int:
         # A whole value equals an int and must hash as it; a fraction equals

@@ -6,16 +6,17 @@ positions), protocol parameters, and the ordering cursor of the last
 applied event. Two invariants tie aggregates to positions: total cToken
 supply equals the exact sum of participant balances, and total borrows
 equal the sum of accrued borrow balances within one mantissa unit per
-borrower (interest accrues lazily per position, truncating).
+borrower (interest accrues lazily per position, truncating). The dict
+form decodes only to states a stream can write; copy() copies any state.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable
 
-from .events import OrderingKey, _encode_canonical
+from .events import OrderingKey, _dec_any, _dec_fraction, _dec_index, _dec_nonneg, _dec_positive, _encode_canonical
 from .fixedpoint import ONE, ZERO, Dec, dec_muldiv, parse_canonical
 
 
@@ -150,8 +151,20 @@ class GlobalState:
         return None if holdings is None else holdings.get(symbol)
 
     def copy(self) -> "GlobalState":
-        """Deep copy via the canonical dict round-trip."""
-        return state_from_dict(state_to_dict(self))
+        """Deep copy, record by record; the immutable Decs, AssetIds and cursor are shared."""
+        return replace(
+            self,
+            markets={
+                symbol: replace(m, interest_model=InterestModel(m.interest_model.model_id, dict(m.interest_model.params)))
+                for symbol, m in self.markets.items()
+            },
+            participants={
+                account: {symbol: replace(p) for symbol, p in holdings.items()}
+                for account, holdings in self.participants.items()
+            },
+            price_table=PriceTable(dict(self.price_table.prices)),
+            params=replace(self.params),
+        )
 
 
 # -- Canonical serialization ------------------------------------------------
@@ -221,12 +234,16 @@ _INTEREST_MODEL_KEYS = frozenset({"model_id", "params"})
 _POSITION_KEYS = frozenset({"ctoken_balance", "borrow_principal", "borrow_index_snapshot"})
 
 
-def _object(data: Any, keys: frozenset[str] | None, *path: str) -> dict[str, Any]:
+def _where(path: tuple[str, ...]) -> str:
+    return "state" + "".join(f"[{part!r}]" for part in path)
+
+
+def _object(data: Any, keys: frozenset[str] | None, path: tuple[str, ...] = ()) -> dict[str, Any]:
     """data itself, once it is a JSON object with exactly the given keys
     (with any keys when keys is None); path names it in the error."""
     if type(data) is dict and (keys is None or data.keys() == keys):
         return data
-    where = "state" + "".join(f"[{part!r}]" for part in path)
+    where = _where(path)
     if type(data) is not dict:
         raise ValueError(f"{where} must be an object, not {type(data).__name__}")
     raise ValueError(f"{where} must have the keys {sorted(keys)}, not {sorted(data)}")
@@ -235,66 +252,76 @@ def _object(data: Any, keys: frozenset[str] | None, *path: str) -> dict[str, Any
 def state_from_dict(data: Any) -> GlobalState:
     """Rebuild a GlobalState from its canonical dict form.
 
-    Only the canonical form is accepted: exactly the keys state_to_dict
-    writes, objects where it writes dicts, and each decimal as Dec.__str__
-    writes it. So state_to_dict(state_from_dict(data)) == data for every
-    data it returns on; anything else raises ValueError, TypeError or
-    DecOverflowError.
+    Only the canonical form of a state a stream can write is accepted:
+    exactly the keys state_to_dict writes, objects where it writes dicts,
+    each market's asset symbol equal to its key, and each decimal as
+    Dec.__str__ writes it, within the bounds of the event field's checker
+    (the spec's for the liquidation incentive, which no event writes). So
+    state_to_dict(state_from_dict(data)) == data for every data it returns
+    on; anything else raises ValueError, TypeError or DecOverflowError, for
+    the first defect in walk order.
     """
     # Dec is immutable, so each distinct literal is decoded once and shared.
     memo: dict[str, Dec] = {}
 
-    def dec(text: Any) -> Dec:
+    def dec(holder: dict[str, Any], name: str, check: Callable[[object], Dec], path: tuple[str, ...]) -> Dec:
+        text = holder[name]
         value = memo.get(text) if type(text) is str else None
         if value is None:
             value = memo[text] = parse_canonical(text)
+        low, high, message = check.bounds
+        if not low <= value.mantissa <= high:
+            raise ValueError(f"{_where((*path, name))}: {message}")
         return value
 
     _object(data, _STATE_KEYS)
-    cursor_raw = data["cursor"]
-    if cursor_raw is None:
-        cursor = None
-    else:
-        _object(cursor_raw, _CURSOR_KEYS, "cursor")
-        cursor = OrderingKey(cursor_raw["block"], cursor_raw["tx_index"], cursor_raw["log_index"])
-    params_raw = _object(data["params"], _PARAMS_KEYS, "params")
+    cursor = data["cursor"]
+    if cursor is not None:
+        cursor = OrderingKey(**_object(cursor, _CURSOR_KEYS, ("cursor",)))
+    params_raw = _object(data["params"], _PARAMS_KEYS, ("params",))
     params = ProtocolParams(
-        close_factor=dec(params_raw["close_factor"]),
-        liquidation_incentive=dec(params_raw["liquidation_incentive"]),
+        close_factor=dec(params_raw, "close_factor", _dec_fraction, ("params",)),
+        liquidation_incentive=dec(params_raw, "liquidation_incentive", _dec_nonneg, ("params",)),
     )
     markets = {}
-    for symbol, m in _object(data["markets"], None, "markets").items():
-        _object(m, _MARKET_KEYS, "markets", symbol)
-        asset = _object(m["asset"], _ASSET_KEYS, "markets", symbol, "asset")
-        model = _object(m["interest_model"], _INTEREST_MODEL_KEYS, "markets", symbol, "interest_model")
-        model_params = _object(model["params"], None, "markets", symbol, "interest_model", "params")
+    for symbol, m in _object(data["markets"], None, ("markets",)).items():
+        path = ("markets", symbol)
+        _object(m, _MARKET_KEYS, path)
+        asset = _object(m["asset"], _ASSET_KEYS, (*path, "asset"))
+        model = _object(m["interest_model"], _INTEREST_MODEL_KEYS, (*path, "interest_model"))
+        model_params = _object(model["params"], None, (*path, "interest_model", "params"))
+        asset_id = AssetId(asset["symbol"], asset["decimals"])
+        if asset_id.symbol != symbol:  # valuations price a market by its key
+            where = _where((*path, "asset", "symbol"))
+            raise ValueError(f"{where} must be the market's key {symbol!r}, not {asset_id.symbol!r}")
         markets[symbol] = MarketState(
-            asset=AssetId(asset["symbol"], asset["decimals"]),
+            asset=asset_id,
             interest_model=InterestModel(
                 model_id=model["model_id"],
-                params={k: dec(v) for k, v in model_params.items()},
+                params={k: dec(model_params, k, _dec_any, (*path, "interest_model", "params")) for k in model_params},
             ),
-            total_borrows=dec(m["total_borrows"]),
-            total_ctoken_supply=dec(m["total_ctoken_supply"]),
-            collateral_factor=dec(m["collateral_factor"]),
-            borrow_index=dec(m["borrow_index"]),
-            exchange_rate=dec(m["exchange_rate"]),
+            total_borrows=dec(m, "total_borrows", _dec_nonneg, path),
+            total_ctoken_supply=dec(m, "total_ctoken_supply", _dec_nonneg, path),
+            collateral_factor=dec(m, "collateral_factor", _dec_fraction, path),
+            borrow_index=dec(m, "borrow_index", _dec_index, path),
+            exchange_rate=dec(m, "exchange_rate", _dec_positive, path),
         )
     participants = {}
-    for account, holdings in _object(data["participants"], None, "participants").items():
+    for account, holdings in _object(data["participants"], None, ("participants",)).items():
         positions = participants[account] = {}
-        for symbol, p in _object(holdings, None, "participants", account).items():
-            _object(p, _POSITION_KEYS, "participants", account, symbol)
+        for symbol, p in _object(holdings, None, ("participants", account)).items():
+            path = ("participants", account, symbol)
+            _object(p, _POSITION_KEYS, path)
             positions[symbol] = Position(
-                ctoken_balance=dec(p["ctoken_balance"]),
-                borrow_principal=dec(p["borrow_principal"]),
-                borrow_index_snapshot=dec(p["borrow_index_snapshot"]),
+                ctoken_balance=dec(p, "ctoken_balance", _dec_nonneg, path),
+                borrow_principal=dec(p, "borrow_principal", _dec_nonneg, path),
+                borrow_index_snapshot=dec(p, "borrow_index_snapshot", _dec_index, path),
             )
-    prices = PriceTable({symbol: dec(p) for symbol, p in _object(data["prices"], None, "prices").items()})
+    prices = _object(data["prices"], None, ("prices",))
     return GlobalState(
         markets=markets,
         participants=participants,
-        price_table=prices,
+        price_table=PriceTable({symbol: dec(prices, symbol, _dec_positive, ("prices",)) for symbol in prices}),
         params=params,
         cursor=cursor,
     )

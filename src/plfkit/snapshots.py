@@ -5,9 +5,10 @@ separators, ASCII) so the same state saves to identical bytes on every
 platform. The embedded digest covers the full canonical state including
 the cursor; the state is the document's last member, written as the very
 bytes that were digested. A load accepts the state only in the canonical
-form ``state_to_dict`` writes, so the digest of the stored dict is the
+form ``state_to_dict`` writes, and only with values a stream can write
+(``state_from_dict`` checks both), so the digest of the stored dict is the
 digest of the state rebuilt from it; loads verify it before handing the
-state back.
+state back. This module is the file format alone.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import hashlib
 from dataclasses import asdict, dataclass
 
 from .events import OrderingKey, _encode_canonical, _parse_json
-from .events import _dec_fraction, _dec_index, _dec_nonneg, _dec_positive
 from .fixedpoint import DecOverflowError
 from .model import GlobalState, dict_digest, state_bytes, state_from_dict
 
@@ -84,68 +84,19 @@ def _read_document(path: str) -> dict:
     return document
 
 
-# For each decimal of the params, a market or a position, the bounds of the
-# checker that admits it from outside: (name, low, high, message). That is
-# the event parser's, or the spec validator's for the liquidation incentive,
-# which no event writes. A snapshot may hold only values an input can.
-_PARAM_RANGES = tuple((name, *check.bounds) for name, check in (
-    ("close_factor", _dec_fraction), ("liquidation_incentive", _dec_nonneg),
-))
-_MARKET_RANGES = tuple((name, *check.bounds) for name, check in (
-    ("total_borrows", _dec_nonneg), ("total_ctoken_supply", _dec_nonneg), ("collateral_factor", _dec_fraction),
-    ("borrow_index", _dec_index), ("exchange_rate", _dec_positive),
-))
-_POSITION_RANGES = tuple((name, *check.bounds) for name, check in (
-    ("ctoken_balance", _dec_nonneg), ("borrow_principal", _dec_nonneg), ("borrow_index_snapshot", _dec_index),
-))
-
-
-def _malformed(message: str, *path: str) -> SnapshotError:
-    where = "".join(f"[{part!r}]" for part in path)
-    return SnapshotError(f"snapshot state malformed: state{where}: {message}")
-
-
-def _check_ranges(state: GlobalState) -> None:
-    """Each param, market, position and price value lies in its checker's range."""
-    for name, low, high, message in _PARAM_RANGES:
-        if not low <= getattr(state.params, name).mantissa <= high:
-            raise _malformed(message, "params", name)
-    for symbol, market in state.markets.items():
-        for name, low, high, message in _MARKET_RANGES:
-            if not low <= getattr(market, name).mantissa <= high:
-                raise _malformed(message, "markets", symbol, name)
-    for account, holdings in state.participants.items():
-        for symbol, position in holdings.items():
-            for name, low, high, message in _POSITION_RANGES:
-                if not low <= getattr(position, name).mantissa <= high:
-                    raise _malformed(message, "participants", account, symbol, name)
-    low, high, message = _dec_positive.bounds
-    for symbol, price in state.price_table.prices.items():
-        if not low <= price.mantissa <= high:
-            raise _malformed(message, "prices", symbol)
-
-
 def read_snapshot(path: str) -> tuple[GlobalState, SnapshotMeta]:
-    """Load a snapshot and its header: one read, one digest.
+    """Load a snapshot and its header: one read, one decode, one digest.
 
-    The state must decode from its canonical form, with each market's
-    asset symbol equal to its key and each value in its range; then the
-    digest of the stored state must match the stored one, and the header
-    cursor must equal the state's cursor.
+    The state must decode from its canonical form (state_from_dict, which
+    accepts only states a stream can write); then the digest of the stored
+    state must match the stored one, and the header cursor must equal the
+    state's cursor.
     """
     document = _read_document(path)
     try:
         state = state_from_dict(document["state"])
     except (TypeError, ValueError, DecOverflowError) as exc:
         raise SnapshotError(f"snapshot state malformed: {exc}") from None
-    # Valuations price a market by its key; its asset must name the same.
-    for symbol, market in state.markets.items():
-        if market.asset.symbol != symbol:
-            raise SnapshotError(
-                f"snapshot state malformed: state['markets'][{symbol!r}]['asset']['symbol'] "
-                f"must be the market's key {symbol!r}, not {market.asset.symbol!r}"
-            )
-    _check_ranges(state)
     # The decoder accepts only what state_to_dict writes, so this is
     # state_digest(state) without building the dict form again.
     actual = dict_digest(document["state"])

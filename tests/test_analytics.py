@@ -1102,6 +1102,7 @@ class TestCachedValuationAgainstReference:
         assert track_efficiency(GlobalState.fresh(), events) == reference_track_efficiency(
             GlobalState.fresh(), events
         )
+        assert_skipped_holders_keep_their_sign(GlobalState.fresh(), events)
         # Resumed from a mid-stream state, itself copied or written to.
         cut = data.draw(st.integers(0, len(events)))
         state, _ = replay(GlobalState.fresh(), events[:cut])
@@ -1111,6 +1112,7 @@ class TestCachedValuationAgainstReference:
         elif state.markets:
             draw_write(data, state)(state)
         other = state.copy()
+        assert_skipped_holders_keep_their_sign(state.copy(), events[cut:])
         assert outcome(track_efficiency, state, events[cut:]) == outcome(
             reference_track_efficiency, other, events[cut:]
         )
@@ -1121,6 +1123,7 @@ class TestCachedValuationAgainstReference:
         ours, theirs = book.copy(), book.copy()
         for _ in range(3):
             events = draw_events(data, ours, data.draw(st.integers(0, 10)))
+            assert_skipped_holders_keep_their_sign(ours.copy(), events)
             assert outcome(track_efficiency, ours, events) == outcome(
                 reference_track_efficiency, theirs, events
             )
@@ -1161,7 +1164,8 @@ class TestCachedValuationAgainstReference:
         unit, a zero collateral factor and inputs near the carrier, on
         states copied or written to (extreme writes included) before each
         fold. The results, failure types and first failing accounts equal
-        the reference's."""
+        the reference's, and every holder a move leaves out keeps its sign
+        (which a timeline cannot show when the sign flips back unseen)."""
         ours, theirs = book.copy(), book.copy()
         for _ in range(data.draw(st.integers(1, 3))):
             before = data.draw(st.sampled_from(("none", "copy", "write", "extreme-write")))
@@ -1172,6 +1176,7 @@ class TestCachedValuationAgainstReference:
                 write(ours)
                 write(theirs)
             events = draw_events(data, ours, data.draw(st.integers(1, 8)), edges=True)
+            assert_skipped_holders_keep_their_sign(ours.copy(), events)
             result = failure_site(track_efficiency, ours, events)
             assert result == failure_site(reference_track_efficiency, theirs, events)
             if result[0][0] != "ok":

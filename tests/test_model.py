@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +127,44 @@ class TestGlobalState:
         assert state.markets["DAI"].total_borrows == Dec(110)
         assert state.participants[ACCT_A]["DAI"].ctoken_balance == Dec(500)
         assert state.price_table.get("DAI") == Dec(1)
+
+    @staticmethod
+    def out_of_range_state() -> GlobalState:
+        """small_state written to past the engine: an index snapshot of 0.5
+        and a balance of -5, values no stream can write."""
+        state = small_state()
+        state.markets["DAI"].interest_model.params["base"] = Dec("0.02")
+        state.participants[ACCT_A]["DAI"].borrow_index_snapshot = Dec("0.5")
+        state.participants[ACCT_B]["DAI"].ctoken_balance = Dec(-5)
+        return state
+
+    def test_copy_of_an_out_of_range_state_is_deep_and_equal(self):
+        state = self.out_of_range_state()
+        clone = state.copy()
+        assert clone == state
+        assert state_to_dict(clone) == state_to_dict(state)
+        # No mutable record or dict is shared.
+        pairs = [(clone.markets, state.markets), (clone.participants, state.participants),
+                 (clone.price_table, state.price_table), (clone.price_table.prices, state.price_table.prices),
+                 (clone.params, state.params)]
+        for symbol, market in state.markets.items():
+            copied = clone.markets[symbol]
+            pairs += [(copied, market), (copied.interest_model, market.interest_model),
+                      (copied.interest_model.params, market.interest_model.params)]
+        for account, holdings in state.participants.items():
+            pairs.append((clone.participants[account], holdings))
+            pairs += [(clone.participants[account][symbol], position) for symbol, position in holdings.items()]
+        assert all(copied is not original for copied, original in pairs)
+
+    def test_decoder_refuses_an_out_of_range_state_by_path(self):
+        form = state_to_dict(self.out_of_range_state())
+        where = f"state['participants']['{ACCT_A}']['DAI']['borrow_index_snapshot']"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}: index must be at least 1$"):
+            state_from_dict(form)
+        form["participants"][ACCT_A]["DAI"]["borrow_index_snapshot"] = "1"
+        where = f"state['participants']['{ACCT_B}']['DAI']['ctoken_balance']"
+        with pytest.raises(ValueError, match=f"^{re.escape(where)}: amount must be non-negative$"):
+            state_from_dict(form)
 
 
 class TestSerialization:

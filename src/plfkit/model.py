@@ -16,7 +16,9 @@ import hashlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
-from .events import OrderingKey, _dec_any, _dec_fraction, _dec_index, _dec_nonneg, _dec_positive, _encode_canonical
+from .events import (
+    OrderingKey, _dec_any, _dec_fraction, _dec_index, _dec_nonneg, _dec_positive, _encode_canonical, is_valid_address,
+)
 from .fixedpoint import ONE, ZERO, Dec, dec_muldiv, parse_canonical
 
 
@@ -26,20 +28,6 @@ class MissingPriceError(LookupError):
     def __init__(self, symbol: str):
         super().__init__(f"no price recorded for asset {symbol!r}")
         self.symbol = symbol
-
-
-@dataclass(frozen=True)
-class AssetId:
-    """Token identity: symbol plus native on-chain decimals."""
-
-    symbol: str
-    decimals: int = 18
-
-    def __post_init__(self):
-        if not isinstance(self.symbol, str) or not self.symbol:
-            raise ValueError("asset symbol must be a non-empty string")
-        if type(self.decimals) is not int or not 0 <= self.decimals <= 18:
-            raise ValueError("asset decimals must be an int in [0, 18]")
 
 
 @dataclass
@@ -57,17 +45,15 @@ class InterestModel:
 
 @dataclass
 class ProtocolParams:
-    """Protocol-wide parameters: close factor and liquidation incentive."""
+    """Protocol-wide parameters: the close factor, the one an event writes."""
 
     close_factor: Dec = ZERO
-    liquidation_incentive: Dec = ZERO
 
 
 @dataclass(slots=True)
 class MarketState:
     """Per-market aggregates and interest bookkeeping."""
 
-    asset: AssetId
     interest_model: InterestModel = field(default_factory=InterestModel)
     total_borrows: Dec = ZERO
     total_ctoken_supply: Dec = ZERO
@@ -77,12 +63,9 @@ class MarketState:
 
     @classmethod
     def listed(cls, symbol: str, exchange_rate: Dec, collateral_factor: Dec) -> "MarketState":
-        """Fresh market as created by a MarketListed event."""
-        return cls(
-            asset=AssetId(symbol),
-            exchange_rate=exchange_rate,
-            collateral_factor=collateral_factor,
-        )
+        """Fresh market as created by a MarketListed event. The key in
+        GlobalState.markets is the one place a market's symbol is recorded."""
+        return cls(exchange_rate=exchange_rate, collateral_factor=collateral_factor)
 
 
 @dataclass(slots=True)
@@ -151,7 +134,7 @@ class GlobalState:
         return None if holdings is None else holdings.get(symbol)
 
     def copy(self) -> "GlobalState":
-        """Deep copy, record by record; the immutable Decs, AssetIds and cursor are shared."""
+        """Deep copy, record by record; the immutable Decs and cursor are shared."""
         return replace(
             self,
             markets={
@@ -182,11 +165,11 @@ def state_to_dict(state: GlobalState) -> dict[str, Any]:
         },
         "params": {
             "close_factor": str(state.params.close_factor),
-            "liquidation_incentive": str(state.params.liquidation_incentive),
+            "liquidation_incentive": "0",  # no event writes it: a constant
         },
         "markets": {
             symbol: {
-                "asset": {"symbol": m.asset.symbol, "decimals": m.asset.decimals},
+                "asset": {"symbol": symbol, "decimals": 18},  # no event writes it: a constant
                 "interest_model": {
                     "model_id": m.interest_model.model_id,
                     "params": {k: str(v) for k, v in m.interest_model.params.items()},
@@ -229,7 +212,6 @@ _MARKET_KEYS = frozenset({
     "asset", "interest_model", "total_borrows", "total_ctoken_supply",
     "collateral_factor", "borrow_index", "exchange_rate",
 })
-_ASSET_KEYS = frozenset({"symbol", "decimals"})
 _INTEREST_MODEL_KEYS = frozenset({"model_id", "params"})
 _POSITION_KEYS = frozenset({"ctoken_balance", "borrow_principal", "borrow_index_snapshot"})
 
@@ -249,14 +231,21 @@ def _object(data: Any, keys: frozenset[str] | None, path: tuple[str, ...] = ()) 
     raise ValueError(f"{where} must have the keys {sorted(keys)}, not {sorted(data)}")
 
 
+def _constant(data: Any, value: Any, path: tuple[str, ...]) -> None:
+    """Refuse data unless it is value as JSON text: true and 18.0 are not 18."""
+    want, got = _encode_canonical(value), _encode_canonical(data)
+    if got != want:
+        raise ValueError(f"{_where(path)}: must be {want.decode()}, not {got.decode()}")
+
+
 def state_from_dict(data: Any) -> GlobalState:
     """Rebuild a GlobalState from its canonical dict form.
 
     Only the canonical form of a state a stream can write is accepted:
     exactly the keys state_to_dict writes, objects where it writes dicts,
-    each market's asset symbol equal to its key, and each decimal as
-    Dec.__str__ writes it, within the bounds of the event field's checker
-    (the spec's for the liquidation incentive, which no event writes). So
+    the asset and incentive constants it writes, only keys and values an
+    event can write, and each decimal as Dec.__str__ writes it, within the
+    bounds of the event field's checker. So
     state_to_dict(state_from_dict(data)) == data for every data it returns
     on; anything else raises ValueError, TypeError or DecOverflowError, for
     the first defect in walk order.
@@ -279,23 +268,21 @@ def state_from_dict(data: Any) -> GlobalState:
     if cursor is not None:
         cursor = OrderingKey(**_object(cursor, _CURSOR_KEYS, ("cursor",)))
     params_raw = _object(data["params"], _PARAMS_KEYS, ("params",))
-    params = ProtocolParams(
-        close_factor=dec(params_raw, "close_factor", _dec_fraction, ("params",)),
-        liquidation_incentive=dec(params_raw, "liquidation_incentive", _dec_nonneg, ("params",)),
-    )
+    _constant(params_raw["liquidation_incentive"], "0", ("params", "liquidation_incentive"))
+    params = ProtocolParams(dec(params_raw, "close_factor", _dec_fraction, ("params",)))
     markets = {}
     for symbol, m in _object(data["markets"], None, ("markets",)).items():
         path = ("markets", symbol)
+        if not symbol:
+            raise ValueError(f"{_where(path)}: a market key must be a non-empty symbol")
         _object(m, _MARKET_KEYS, path)
-        asset = _object(m["asset"], _ASSET_KEYS, (*path, "asset"))
+        _constant(m["asset"], {"symbol": symbol, "decimals": 18}, (*path, "asset"))
         model = _object(m["interest_model"], _INTEREST_MODEL_KEYS, (*path, "interest_model"))
         model_params = _object(model["params"], None, (*path, "interest_model", "params"))
-        asset_id = AssetId(asset["symbol"], asset["decimals"])
-        if asset_id.symbol != symbol:  # valuations price a market by its key
-            where = _where((*path, "asset", "symbol"))
-            raise ValueError(f"{where} must be the market's key {symbol!r}, not {asset_id.symbol!r}")
+        if type(model["model_id"]) is not str:
+            where = _where((*path, "interest_model", "model_id"))
+            raise ValueError(f"{where} must be a string, not {type(model['model_id']).__name__}")
         markets[symbol] = MarketState(
-            asset=asset_id,
             interest_model=InterestModel(
                 model_id=model["model_id"],
                 params={k: dec(model_params, k, _dec_any, (*path, "interest_model", "params")) for k in model_params},
@@ -308,9 +295,13 @@ def state_from_dict(data: Any) -> GlobalState:
         )
     participants = {}
     for account, holdings in _object(data["participants"], None, ("participants",)).items():
+        if not is_valid_address(account):
+            raise ValueError(f"{_where(('participants', account))}: must be a 42-character lowercase 0x hex address")
         positions = participants[account] = {}
         for symbol, p in _object(holdings, None, ("participants", account)).items():
             path = ("participants", account, symbol)
+            if symbol not in markets:  # an event opens a position only in a listed market
+                raise ValueError(f"{_where(path)}: no market {symbol!r} is listed")
             _object(p, _POSITION_KEYS, path)
             positions[symbol] = Position(
                 ctoken_balance=dec(p, "ctoken_balance", _dec_nonneg, path),

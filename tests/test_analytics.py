@@ -614,7 +614,7 @@ def books(draw):
     debt land within a few times of each other, so that price moves carry
     accounts across the liquidation line.
     """
-    state = GlobalState.fresh(ProtocolParams(Dec("0.5"), Dec("0.1")))
+    state = GlobalState.fresh(ProtocolParams(Dec("0.5")))
     for symbol in SYMBOLS:
         market = MarketState.listed(
             symbol, draw(mantissas(UNIT // 66, UNIT // 40)), draw(mantissas(UNIT * 3 // 5, UNIT * 9 // 10))
@@ -868,7 +868,7 @@ def budget_walks(draw):
     listed mid-stream and taken up by a supplier and a borrower. A few
     small borrows write accounts between the moves.
     """
-    state = GlobalState.fresh(ProtocolParams(Dec("0.5"), Dec("0.1")))
+    state = GlobalState.fresh(ProtocolParams(Dec("0.5")))
     late = draw(st.booleans())  # CCC is listed mid-stream
     for symbol in SYMBOLS[:2] if late else SYMBOLS:
         market = state.markets[symbol] = MarketState.listed(

@@ -323,9 +323,10 @@ def test_tampered_snapshot(capsys, tmp_path, command):
 
 
 # States a load rejects before any digest is taken: a container that is not
-# a JSON object, a canonical decimal beyond the carrier or outside the range
-# of its field. Each is re-digested, so that the check refuses it, not the
+# a JSON object, a key or member no event writes, a canonical decimal beyond
+# the carrier or outside the range of its field. Each is re-digested, so that the check refuses it, not the
 # digest.
+_DAI_ASSET = """state['markets']['DAI']['asset']: must be {"decimals":18,"symbol":"DAI"}, not """
 _MALFORMED_STATES = {
     "markets-list": (lambda state: state.update(markets=[]), "state['markets'] must be an object, not list"),
     "prices-list": (lambda state: state.update(prices=[]), "state['prices'] must be an object, not list"),
@@ -337,21 +338,58 @@ _MALFORMED_STATES = {
         lambda state: state["participants"][ACCT_A]["DAI"].update(ctoken_balance="9" * 70),
         "mantissa exceeds the signed 256-bit carrier",
     ),
+    # Members no event writes: each market's asset and the liquidation
+    # incentive are the constants every stream writes.
     "decimals-true": (
         lambda state: state["markets"]["DAI"]["asset"].update(decimals=True),
-        "asset decimals must be an int in [0, 18]",
+        _DAI_ASSET + '{"decimals":true,"symbol":"DAI"}',
     ),
     "decimals-1.5": (
         lambda state: state["markets"]["DAI"]["asset"].update(decimals=1.5),
-        "asset decimals must be an int in [0, 18]",
+        _DAI_ASSET + '{"decimals":1.5,"symbol":"DAI"}',
+    ),
+    "decimals-6": (
+        lambda state: state["markets"]["DAI"]["asset"].update(decimals=6),
+        _DAI_ASSET + '{"decimals":6,"symbol":"DAI"}',
     ),
     "symbol-int": (
         lambda state: state["markets"]["DAI"]["asset"].update(symbol=5),
-        "asset symbol must be a non-empty string",
+        _DAI_ASSET + '{"decimals":18,"symbol":5}',
     ),
     "symbol-not-key": (
         lambda state: state["markets"]["DAI"]["asset"].update(symbol="ETH"),
-        "state['markets']['DAI']['asset']['symbol'] must be the market's key 'DAI', not 'ETH'",
+        _DAI_ASSET + '{"decimals":18,"symbol":"ETH"}',
+    ),
+    "liquidation-incentive--0.1": (
+        lambda state: state["params"].update(liquidation_incentive="-0.1"),
+        "state['params']['liquidation_incentive']: must be \"0\", not \"-0.1\"",
+    ),
+    "liquidation-incentive-0.1": (
+        lambda state: state["params"].update(liquidation_incentive="0.1"),
+        "state['params']['liquidation_incentive']: must be \"0\", not \"0.1\"",
+    ),
+    # Keys and values no event writes: an empty market key, an account that
+    # is not an address, a position in an unlisted market, a model_id that
+    # is not a string.
+    "market-key-empty": (
+        lambda state: state["markets"].update(
+            {"": {**state["markets"]["DAI"], "asset": {"decimals": 18, "symbol": ""}}}
+        ),
+        "state['markets']['']: a market key must be a non-empty symbol",
+    ),
+    "participant-not-address": (
+        lambda state: state["participants"].update({"not-an-address": {}}),
+        "state['participants']['not-an-address']: must be a 42-character lowercase 0x hex address",
+    ),
+    "position-unlisted-market": (
+        lambda state: state["participants"][ACCT_A].update(
+            XYZ={"ctoken_balance": "5", "borrow_principal": "0", "borrow_index_snapshot": "1"}
+        ),
+        f"state['participants']['{ACCT_A}']['XYZ']: no market 'XYZ' is listed",
+    ),
+    "model-id-list": (
+        lambda state: state["markets"]["DAI"]["interest_model"].update(model_id=[1, {"a": 2}]),
+        "state['markets']['DAI']['interest_model']['model_id'] must be a string, not list",
     ),
     # Values out of the range an event can write. An index snapshot of 0
     # would divide by zero in every valuation of the position.
@@ -374,10 +412,6 @@ _MALFORMED_STATES = {
     "close-factor-1.5": (
         lambda state: state["params"].update(close_factor="1.5"),
         "state['params']['close_factor']: factor must lie in [0, 1]",
-    ),
-    "liquidation-incentive--0.1": (
-        lambda state: state["params"].update(liquidation_incentive="-0.1"),
-        "state['params']['liquidation_incentive']: amount must be non-negative",
     ),
     "collateral-factor-1.5": (
         lambda state: state["markets"]["DAI"].update(collateral_factor="1.5"),

@@ -9,7 +9,6 @@ from plfkit.engine import TransitionError, apply_event, state_digest
 from plfkit.events import OrderingKey, _encode_canonical, is_valid_address
 from plfkit.fixedpoint import ONE, ZERO, Dec
 from plfkit.model import (
-    AssetId,
     GlobalState,
     MarketState,
     MissingPriceError,
@@ -26,7 +25,7 @@ from test_analytics import SYMBOLS, books, draw_event
 
 def small_state() -> GlobalState:
     """Two markets, two accounts, one accrued borrow."""
-    state = GlobalState.fresh(ProtocolParams(Dec("0.5"), Dec("0.1")))
+    state = GlobalState.fresh(ProtocolParams(Dec("0.5")))
     dai = MarketState.listed("DAI", Dec("0.02"), Dec("0.75"))
     dai.borrow_index = Dec("1.1")
     dai.total_ctoken_supply = Dec(600)
@@ -45,18 +44,6 @@ def small_state() -> GlobalState:
 
 
 class TestIdentifiers:
-    def test_asset_id(self):
-        assert AssetId("DAI").decimals == 18
-        with pytest.raises(ValueError):
-            AssetId("")
-        with pytest.raises(ValueError):
-            AssetId("DAI", 19)
-        for decimals in (True, 1.5, "6"):
-            with pytest.raises(ValueError):
-                AssetId("DAI", decimals)
-        with pytest.raises(ValueError):
-            AssetId(5)
-
     def test_account_id(self):
         assert is_valid_address(ACCT_A)
         assert not is_valid_address("0xABC")
@@ -66,7 +53,6 @@ class TestProtocolParams:
     def test_defaults(self):
         params = ProtocolParams()
         assert params.close_factor == ZERO
-        assert params.liquidation_incentive == ZERO
 
 
 class TestPosition:
@@ -201,8 +187,7 @@ class TestSerialization:
 MARKET_DECIMALS = ("total_borrows", "total_ctoken_supply", "collateral_factor", "borrow_index", "exchange_rate")
 POSITION_DECIMALS = ("ctoken_balance", "borrow_principal", "borrow_index_snapshot")
 LEAF_WRITES = (
-    "cursor", "close_factor", "liquidation_incentive",
-    "asset_symbol", "asset_decimals", "model_id", "model_params", *MARKET_DECIMALS,
+    "cursor", "close_factor", "model_id", "model_params", *MARKET_DECIMALS,
     *POSITION_DECIMALS, "price", "new_participant", "new_market", "new_price",
 )
 REKEYED = ("markets", "participants", "holdings", "prices", "model_params")
@@ -220,12 +205,6 @@ def write_leaf(data, state: GlobalState) -> None:
         state.cursor = data.draw(st.none() | keys)
     elif what == "close_factor":  # within [0, 1], a range a stream can write
         state.params.close_factor = Dec.from_mantissa(data.draw(st.integers(0, 10 ** 18)))
-    elif what == "liquidation_incentive":
-        state.params.liquidation_incentive = value
-    elif what == "asset_symbol":
-        market.asset = AssetId(data.draw(st.sampled_from(SYMBOLS + ("XYZ",))), market.asset.decimals)
-    elif what == "asset_decimals":
-        market.asset = AssetId(market.asset.symbol, data.draw(st.integers(0, 18)))
     elif what == "model_id":
         market.interest_model.model_id = data.draw(st.text(max_size=4))
     elif what == "model_params":

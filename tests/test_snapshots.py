@@ -327,11 +327,11 @@ def decimals(state: dict) -> list[tuple[dict, str]]:
 
 
 def in_stream_ranges(state: GlobalState) -> bool:
-    """Whether every value lies in a range a stream can write: amounts and
-    the liquidation incentive non-negative, indices at least 1, rates and
-    prices positive, the close factor and collateral factors in [0, 1].
-    Stated apart from the package's checkers."""
-    params = 0 <= state.params.close_factor.mantissa <= UNIT and state.params.liquidation_incentive.mantissa >= 0
+    """Whether every value lies in a range a stream can write: amounts
+    non-negative, indices at least 1, rates and prices positive, the close
+    factor and collateral factors in [0, 1]. Stated apart from the
+    package's checkers."""
+    params = 0 <= state.params.close_factor.mantissa <= UNIT
     markets = all(
         m.total_borrows.mantissa >= 0 and m.total_ctoken_supply.mantissa >= 0
         and 0 <= m.collateral_factor.mantissa <= UNIT and m.borrow_index.mantissa >= UNIT

@@ -203,9 +203,7 @@ def _write_records(args: argparse.Namespace, columns: Sequence[str], records: It
 
 
 def _cursor_cells(cursor) -> tuple[Any, Any, Any]:
-    if cursor is None:
-        return None, None, None
-    return cursor.block, cursor.tx_index, cursor.log_index
+    return (None, None, None) if cursor is None else cursor
 
 
 def cmd_replay(args: argparse.Namespace) -> int:

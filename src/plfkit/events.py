@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from functools import cache
 from types import UnionType
-from typing import Any, Callable, Iterable, Iterator, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
 
 from .fixedpoint import MANTISSA_BOUND, SCALE, Dec, _new_dec, _parse_mantissa
 
@@ -50,19 +50,17 @@ class StreamOrderError(ValueError):
     """Event keys are not strictly increasing."""
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class OrderingKey:
-    """Total order over events: block, then tx index, then log index."""
+class OrderingKey(NamedTuple):
+    """Total order over events: block, then tx index, then log index.
+
+    A plain tuple, equal to and ordered as (block, tx_index, log_index).
+    It checks nothing: a key read from outside the program is checked where
+    it is read, by the event parser and by the snapshot decoder.
+    """
 
     block: int
     tx_index: int
     log_index: int
-
-    def __post_init__(self):
-        for name in ("block", "tx_index", "log_index"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                raise ValueError(f"{name} must be a non-negative integer")
 
 
 @dataclass(slots=True)
@@ -221,7 +219,7 @@ _SCHEMAS: dict[str, tuple[str | None, tuple[tuple[str, Any], ...]]] = {
 
 KINDS = frozenset(_SCHEMAS)
 
-_KEY_FIELDS = ("block", "tx_index", "log_index")
+_KEY_FIELDS = OrderingKey._fields
 
 # The decoder's table: each kind's schema plus every key its lines must
 # carry, and nothing else.
@@ -234,13 +232,6 @@ _DECODING = {
     )
     for kind, (market_field, fields) in _SCHEMAS.items()
 }
-
-# The setters of OrderingKey's slots: each writes one field of a new key,
-# as the frozen dataclass's own __init__ does through object.__setattr__.
-_set_block = OrderingKey.block.__set__
-_set_tx_index = OrderingKey.tx_index.__set__
-_set_log_index = OrderingKey.log_index.__set__
-
 
 def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> EventRecord:
     """Validate one flat JSON object against its kind's schema.
@@ -263,11 +254,7 @@ def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> Even
                 raise EventParseError(
                     "must be a non-negative integer", line_number=line_number, field=name
                 )
-    # The triple is checked; build the key without checking it again.
-    key = object.__new__(OrderingKey)
-    _set_block(key, block)
-    _set_tx_index(key, tx_index)
-    _set_log_index(key, log_index)
+    key = OrderingKey(block, tx_index, log_index)
 
     kind = obj.get("kind")
     if kind is None:
@@ -405,12 +392,8 @@ def _decode_value(hint: Any, raw: Any) -> Any:
 
 def event_to_obj(event: EventRecord) -> dict[str, Any]:
     """Flatten an EventRecord back to its JSON object form."""
-    obj: dict[str, Any] = {
-        "block": event.key.block,
-        "tx_index": event.key.tx_index,
-        "log_index": event.key.log_index,
-        "kind": event.kind,
-    }
+    obj: dict[str, Any] = event.key._asdict()
+    obj["kind"] = event.kind
     market_field, _ = _SCHEMAS[event.kind]
     if market_field is not None:
         obj[market_field] = event.market
@@ -434,14 +417,12 @@ def iter_events(path: str) -> Iterator[EventRecord]:
 
     A line is read without its JSON whitespace padding; a blank line or a
     line that does not parse raises EventParseError at once. Every key
-    must exceed the one before it, compared as raw (block, tx_index,
-    log_index) triples; a violation does not stop the stream, but is
-    raised as StreamOrderError once the whole file has parsed, so a parse
-    error on any line takes precedence.
+    must exceed the one before it; a violation does not stop the stream,
+    but is raised as StreamOrderError once the whole file has parsed, so a
+    parse error on any line takes precedence.
     """
     violation = None
-    previous: tuple[int, ...] = ()  # sorts before every triple
-    previous_key = None
+    previous: tuple[int, ...] = ()  # sorts before every key
     line_number = 0
     with open(path, "r", encoding="utf-8") as handle:
         try:
@@ -451,11 +432,10 @@ def iter_events(path: str) -> Iterator[EventRecord]:
                     raise EventParseError("blank line", line_number=line_number)
                 event = parse_event_line(stripped, line_number=line_number)
                 key = event.key
-                current = (key.block, key.tx_index, key.log_index)
-                if current <= previous and violation is None:
+                if key <= previous and violation is None:
                     # No line is blank, so the event's index is its line's.
-                    violation = f"event {line_number - 1} key {key} does not follow {previous_key}"
-                previous, previous_key = current, key
+                    violation = f"event {line_number - 1} key {key} does not follow {previous}"
+                previous = key
                 yield event
         except UnicodeDecodeError as exc:
             # The file is decoded a chunk at a time, and the chunk that failed

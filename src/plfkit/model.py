@@ -156,13 +156,7 @@ class GlobalState:
 def state_to_dict(state: GlobalState) -> dict[str, Any]:
     """Plain-dict form of the state; Dec values as canonical strings."""
     return {
-        "cursor": None
-        if state.cursor is None
-        else {
-            "block": state.cursor.block,
-            "tx_index": state.cursor.tx_index,
-            "log_index": state.cursor.log_index,
-        },
+        "cursor": None if state.cursor is None else state.cursor._asdict(),
         "params": {
             "close_factor": str(state.params.close_factor),
             "liquidation_incentive": "0",  # no event writes it: a constant
@@ -206,7 +200,7 @@ def state_bytes(state: GlobalState) -> bytes:
 
 # The keys state_to_dict writes, per object. The decoder takes exactly these.
 _STATE_KEYS = frozenset({"cursor", "params", "markets", "participants", "prices"})
-_CURSOR_KEYS = frozenset({"block", "tx_index", "log_index"})
+_CURSOR_KEYS = frozenset(OrderingKey._fields)
 _PARAMS_KEYS = frozenset({"close_factor", "liquidation_incentive"})
 _MARKET_KEYS = frozenset({
     "asset", "interest_model", "total_borrows", "total_ctoken_supply",
@@ -266,7 +260,11 @@ def state_from_dict(data: Any) -> GlobalState:
     _object(data, _STATE_KEYS)
     cursor = data["cursor"]
     if cursor is not None:
-        cursor = OrderingKey(**_object(cursor, _CURSOR_KEYS, ("cursor",)))
+        _object(cursor, _CURSOR_KEYS, ("cursor",))
+        for name in OrderingKey._fields:
+            if type(cursor[name]) is not int or cursor[name] < 0:  # not a bool, nor 1.0
+                raise ValueError(f"{_where(('cursor', name))}: must be a non-negative integer")
+        cursor = OrderingKey(**cursor)
     params_raw = _object(data["params"], _PARAMS_KEYS, ("params",))
     _constant(params_raw["liquidation_incentive"], "0", ("params", "liquidation_incentive"))
     params = ProtocolParams(dec(params_raw, "close_factor", _dec_fraction, ("params",)))
@@ -298,7 +296,9 @@ def state_from_dict(data: Any) -> GlobalState:
         if not is_valid_address(account):
             raise ValueError(f"{_where(('participants', account))}: must be a 42-character lowercase 0x hex address")
         positions = participants[account] = {}
-        for symbol, p in _object(holdings, None, ("participants", account)).items():
+        if not _object(holdings, None, ("participants", account)):  # an event opens an account with a position
+            raise ValueError(f"{_where(('participants', account))}: an account must hold at least one position")
+        for symbol, p in holdings.items():
             path = ("participants", account, symbol)
             if symbol not in markets:  # an event opens a position only in a listed market
                 raise ValueError(f"{_where(path)}: no market {symbol!r} is listed")

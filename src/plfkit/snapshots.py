@@ -14,7 +14,7 @@ state back. This module is the file format alone.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .events import OrderingKey, _encode_canonical, _parse_json
 from .fixedpoint import DecOverflowError
@@ -53,7 +53,7 @@ def save_snapshot(state: GlobalState, path: str) -> SnapshotMeta:
     """Write the state to a byte-deterministic snapshot file."""
     body = state_bytes(state)
     digest = hashlib.sha256(body).hexdigest()
-    cursor = None if state.cursor is None else asdict(state.cursor)
+    cursor = None if state.cursor is None else state.cursor._asdict()
     header = _encode_canonical({"format_version": FORMAT_VERSION, "cursor": cursor, "digest": digest})
     # The canonical document: "state" sorts after the header's keys, so its
     # bytes go last, in place of the header's closing brace.
@@ -102,7 +102,7 @@ def read_snapshot(path: str) -> tuple[GlobalState, SnapshotMeta]:
     actual = dict_digest(document["state"])
     if actual != document["digest"]:
         raise SnapshotDigestError(document["digest"], actual)
-    cursor = None if state.cursor is None else asdict(state.cursor)
+    cursor = None if state.cursor is None else state.cursor._asdict()
     header = document.get("cursor", "(missing)")
     # Compared as JSON text: 13.0 and true are not the integers 13 and 1.
     if _encode_canonical(header) != _encode_canonical(cursor):

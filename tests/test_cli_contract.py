@@ -327,6 +327,7 @@ def test_tampered_snapshot(capsys, tmp_path, command):
 # the carrier or outside the range of its field. Each is re-digested, so that the check refuses it, not the
 # digest.
 _DAI_ASSET = """state['markets']['DAI']['asset']: must be {"decimals":18,"symbol":"DAI"}, not """
+_ACCT_NEW = "0x" + "cd" * 20  # holds nothing in the hand fixture
 _MALFORMED_STATES = {
     "markets-list": (lambda state: state.update(markets=[]), "state['markets'] must be an object, not list"),
     "prices-list": (lambda state: state.update(prices=[]), "state['prices'] must be an object, not list"),
@@ -380,6 +381,25 @@ _MALFORMED_STATES = {
     "participant-not-address": (
         lambda state: state["participants"].update({"not-an-address": {}}),
         "state['participants']['not-an-address']: must be a 42-character lowercase 0x hex address",
+    ),
+    # An event opens an account only together with its first position.
+    "holdings-empty": (
+        lambda state: state["participants"].update({_ACCT_NEW: {}}),
+        f"state['participants']['{_ACCT_NEW}']: an account must hold at least one position",
+    ),
+    # The cursor's fields are the non-negative JSON integers a key holds:
+    # not a bool, not a float.
+    "cursor-block--1": (
+        lambda state: state["cursor"].update(block=-1),
+        "state['cursor']['block']: must be a non-negative integer",
+    ),
+    "cursor-tx-index-true": (
+        lambda state: state["cursor"].update(tx_index=True),
+        "state['cursor']['tx_index']: must be a non-negative integer",
+    ),
+    "cursor-log-index-1.0": (
+        lambda state: state["cursor"].update(log_index=1.0),
+        "state['cursor']['log_index']: must be a non-negative integer",
     ),
     "position-unlisted-market": (
         lambda state: state["participants"][ACCT_A].update(
@@ -515,6 +535,21 @@ def test_unreadable_document(capsys, tmp_path, command, document):
     code, out, err = _run(capsys, argv)
     _assert_one_error_line(code, out, err)
     assert reason in err
+
+
+@pytest.mark.parametrize("name,reason", [
+    ("missing.json", "No such file or directory"),
+    ("spec.d", "Is a directory"),
+], ids=["missing", "directory"])
+def test_unreadable_spec(capsys, tmp_path, name, reason):
+    (tmp_path / "spec.d").mkdir()
+    spec = tmp_path / name
+    argv = ["gen-scenario", "--spec", str(spec), "--events-out", str(tmp_path / "s.jsonl"),
+            "--annotations-out", str(tmp_path / "s.json")]
+    code, out, err = _run(capsys, argv)
+    _assert_one_error_line(code, out, err)
+    assert err == f"error: cannot read spec {spec}: {reason}\n"
+    assert not (tmp_path / "s.jsonl").exists()
 
 
 @pytest.mark.parametrize("command", sorted(_UNWRITABLE_OUTPUTS))

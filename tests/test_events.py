@@ -63,12 +63,10 @@ class TestOrderingKey:
     def test_total_order(self):
         assert OrderingKey(1, 0, 0) < OrderingKey(1, 0, 1) < OrderingKey(1, 1, 0)
         assert OrderingKey(1, 9, 9) < OrderingKey(2, 0, 0)
-
-    def test_rejects_negative_and_bool(self):
-        with pytest.raises(ValueError):
-            OrderingKey(-1, 0, 0)
-        with pytest.raises(ValueError):
-            OrderingKey(1, True, 0)
+        # A key is its plain (block, tx_index, log_index) tuple.
+        assert OrderingKey(1, 2, 3) == (1, 2, 3)
+        assert (1, 2, 2) < OrderingKey(1, 2, 3) < (1, 3, 0)
+        assert OrderingKey(1, 2, 3) <= (1, 2, 3) <= OrderingKey(1, 2, 3)
 
 
 class TestParsing:

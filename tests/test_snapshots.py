@@ -329,8 +329,8 @@ def decimals(state: dict) -> list[tuple[dict, str]]:
 def in_stream_ranges(state: GlobalState) -> bool:
     """Whether every value lies in a range a stream can write: amounts
     non-negative, indices at least 1, rates and prices positive, the close
-    factor and collateral factors in [0, 1]. Stated apart from the
-    package's checkers."""
+    factor and collateral factors in [0, 1], and every account holding at
+    least one position. Stated apart from the package's checkers."""
     params = 0 <= state.params.close_factor.mantissa <= UNIT
     markets = all(
         m.total_borrows.mantissa >= 0 and m.total_ctoken_supply.mantissa >= 0
@@ -343,7 +343,9 @@ def in_stream_ranges(state: GlobalState) -> bool:
         for holdings in state.participants.values()
         for p in holdings.values()
     )
-    return params and markets and positions and all(p.mantissa > 0 for p in state.price_table.prices.values())
+    accounts = all(state.participants.values())
+    prices = all(p.mantissa > 0 for p in state.price_table.prices.values())
+    return params and markets and positions and accounts and prices
 
 
 # Canonical literals just outside each range, by the fields it covers.

@@ -24,20 +24,18 @@ reached since the previous one repeats that row's values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Literal
+from typing import Iterable, Iterator, Literal, NamedTuple
 
 from .engine import ReplayReport, _fold, _warn
 from .events import EventRecord, OrderingKey
 from .fixedpoint import ZERO, Dec, checked, trunc_mul
-from .model import GlobalState, MissingPriceError
+from .model import GlobalState, MissingPriceError, _Record
 from .risk import LiquidableCache, _sums, account_health
 
 NOT_LIQUIDABLE_WARNING = "not-liquidable-at-engine-precision"
 
 
-@dataclass(frozen=True)
-class Streak:
+class Streak(NamedTuple):
     """One stretch of time an account spent liquidable."""
 
     account: str
@@ -45,8 +43,7 @@ class Streak:
     end: OrderingKey | None  # closing liquidation's key; None if still open
 
 
-@dataclass(frozen=True)
-class LiquidationRecord:
+class LiquidationRecord(NamedTuple):
     """One executed liquidation and how stale its streak was."""
 
     account: str
@@ -56,11 +53,20 @@ class LiquidationRecord:
     warning: str | None = None
 
 
-@dataclass
-class EfficiencyTimeline:
-    streaks: list[Streak] = field(default_factory=list)
-    liquidations: list[LiquidationRecord] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+class EfficiencyTimeline(_Record):
+    """What track_efficiency found: streaks, liquidations and warnings."""
+
+    __slots__ = ("streaks", "liquidations", "warnings")
+
+    def __init__(
+        self,
+        streaks: list[Streak] | None = None,
+        liquidations: list[LiquidationRecord] | None = None,
+        warnings: list[str] | None = None,
+    ):
+        self.streaks = [] if streaks is None else streaks
+        self.liquidations = [] if liquidations is None else liquidations
+        self.warnings = [] if warnings is None else warnings
 
 
 def _seized_value(state: GlobalState, event: EventRecord) -> Dec:
@@ -139,8 +145,7 @@ def track_efficiency(
     return timeline
 
 
-@dataclass(frozen=True)
-class CdfPoint:
+class CdfPoint(NamedTuple):
     blocks: int
     cumulative_fraction: Dec
 
@@ -173,16 +178,14 @@ def efficiency_cdf(
     return points
 
 
-@dataclass(frozen=True)
-class ConcentrationRow:
+class ConcentrationRow(NamedTuple):
     rank: int
     account: str
     value_usd: Dec
     share: Dec
 
 
-@dataclass
-class ConcentrationReport:
+class ConcentrationReport(NamedTuple):
     """How concentrated one side of the book is across accounts."""
 
     side: Literal["supply", "borrow"]
@@ -240,8 +243,7 @@ def concentration(
     )
 
 
-@dataclass(frozen=True)
-class FundsRow:
+class FundsRow(NamedTuple):
     """Aggregate USD funds at one sampled block."""
 
     block: int

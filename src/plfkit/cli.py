@@ -134,16 +134,15 @@ def _fold_stream(
     violation, then a snapshot error, then a transition or valuation error.
     """
     stream = _events(path, at_block)
-    with _collector_paused():
-        try:
-            state = start()
-            cursor = state.cursor
-            events = stream if cursor is None else dropwhile(lambda event: event.key <= cursor, stream)
-            return fold(state, events)
-        except Exception:
-            for _ in stream:
-                pass
-            raise
+    try:
+        state = start()
+        cursor = state.cursor
+        events = stream if cursor is None else dropwhile(lambda event: event.key <= cursor, stream)
+        return fold(state, events)
+    except Exception:
+        for _ in stream:
+            pass
+        raise
 
 
 def _load_snapshot(path: str) -> GlobalState:
@@ -501,7 +500,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
     try:
-        return args.func(args)
+        # No command builds reference cycles: paused, the collector does
+        # not rescan the growing state, event list or decoded snapshot.
+        with _collector_paused():
+            return args.func(args)
     except BrokenPipeError:
         return 1
     except (CliError, TransitionError, MissingPriceError, DecOverflowError, OSError) as exc:

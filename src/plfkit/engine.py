@@ -15,12 +15,11 @@ accounts and re-priced market to an optional observer (track_efficiency).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
 from .events import EventRecord, OrderingKey
 from .fixedpoint import SCALE, ZERO, Dec, DecOverflowError
-from .model import GlobalState, MarketState, Position, state_bytes
+from .model import GlobalState, MarketState, Position, _Record, state_bytes
 
 
 class TransitionError(ValueError):
@@ -40,13 +39,15 @@ class ReplayError(RuntimeError):
         self.report = report
 
 
-@dataclass
-class ReplayReport:
+class ReplayReport(_Record):
     """What a replay did: how far it got and what it grumbled about."""
 
-    events_applied: int = 0
-    digest: str | None = None
-    warnings: list[str] = field(default_factory=list)
+    __slots__ = ("events_applied", "digest", "warnings")
+
+    def __init__(self, events_applied: int = 0, digest: str | None = None, warnings: list[str] | None = None):
+        self.events_applied = events_applied
+        self.digest = digest
+        self.warnings = [] if warnings is None else warnings
 
 
 def state_digest(state: GlobalState) -> str:

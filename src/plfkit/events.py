@@ -7,8 +7,7 @@ stream.
 
 This module is also the package's JSON codec: the one reader
 (``_parse_json``), the one canonical writer (``_encode_canonical``), and
-the dataclass walkers (``_encode_value`` and ``_decode_value``) behind
-every document format.
+``_encode_value``, which turns a document's values into plain JSON data.
 """
 
 from __future__ import annotations
@@ -17,10 +16,7 @@ import gc
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
-from functools import cache
-from types import UnionType
-from typing import Any, Callable, Iterable, Iterator, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .fixedpoint import MANTISSA_BOUND, SCALE, Dec, _new_dec, _parse_mantissa
 
@@ -63,8 +59,7 @@ class OrderingKey(NamedTuple):
     log_index: int
 
 
-@dataclass(slots=True)
-class EventRecord:
+class EventRecord(NamedTuple):
     """One normalized protocol event.
 
     ``market`` is the asset symbol the event is scoped to (the repay market
@@ -76,7 +71,7 @@ class EventRecord:
     key: OrderingKey
     kind: str
     market: str | None
-    payload: dict[str, Any] = field(default_factory=dict)
+    payload: dict[str, Any]
 
 
 # Field specs per kind: (name, checker). Checkers parse/validate a raw JSON
@@ -281,12 +276,8 @@ def parse_event_obj(obj: dict[str, Any], line_number: int | None = None) -> Even
     except (ValueError, ArithmeticError) as exc:
         raise EventParseError(str(exc), line_number=line_number, field=name) from None
 
-    event = object.__new__(EventRecord)
-    event.key = key
-    event.kind = kind
-    event.market = market
-    event.payload = payload
-    return event
+    # The tuple itself, without the frame of the named tuple's __new__.
+    return tuple.__new__(EventRecord, (key, kind, market, payload))
 
 
 def _parse_json(text: str | bytes) -> Any:
@@ -345,49 +336,10 @@ def _encode_value(value: Any) -> Any:
         return {k: _encode_value(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_encode_value(v) for v in value]
-    if is_dataclass(value):
-        return {f.name: _encode_value(getattr(value, f.name)) for f in fields(value)}
+    names = getattr(value, "__dataclass_fields__", None)  # a dataclass instance
+    if names is not None:
+        return {name: _encode_value(getattr(value, name)) for name in names}
     return value
-
-
-# Cached per class: resolving the string annotations costs more than the
-# decode itself.
-@cache
-def _declared_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
-    """Each field of a dataclass: its name, resolved type, and whether it
-    has no default."""
-    hints = get_type_hints(cls)
-    return tuple(
-        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
-    )
-
-
-def _decode_value(hint: Any, raw: Any) -> Any:
-    """The mirror of :func:`_encode_value`: plain JSON data read back as ``hint``.
-
-    A dataclass is built from the keys its fields name: an absent key takes
-    the field's declared default, a missing required one raises KeyError,
-    and keys it does not declare are ignored. A Dec is ``Dec(raw)``;
-    ``list[X]``, ``tuple[X, ...]``, ``dict[str, X]`` and ``X | None`` are
-    walked. Anything else (an int, a str, a Literal) is returned as it is,
-    for the caller to validate.
-    """
-    if hint is Dec:
-        return Dec(raw)
-    if is_dataclass(hint):
-        return hint(**{
-            name: _decode_value(field_hint, raw[name])
-            for name, field_hint, required in _declared_fields(hint)
-            if required or name in raw
-        })
-    origin, args = get_origin(hint), get_args(hint)
-    if origin is list or origin is tuple:
-        return origin(_decode_value(args[0], item) for item in raw)
-    if origin is dict:
-        return {key: _decode_value(args[1], item) for key, item in raw.items()}
-    if origin is UnionType:
-        return None if raw is None else _decode_value(args[0], raw)
-    return raw
 
 
 def event_to_obj(event: EventRecord) -> dict[str, Any]:
@@ -448,9 +400,9 @@ def iter_events(path: str) -> Iterator[EventRecord]:
 
 @contextmanager
 def _collector_paused() -> Iterator[None]:
-    """Pause the cycle collector for a parse or a fold. They build no
-    reference cycles, so it has nothing to find; paused, it stops
-    rescanning the growing list or state."""
+    """Pause the cycle collector for a stream read or a whole command.
+    Neither builds reference cycles, so it has nothing to find; paused, it
+    stops rescanning the growing list or state."""
     collecting = gc.isenabled()
     gc.disable()
     try:

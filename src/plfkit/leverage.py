@@ -10,7 +10,7 @@ compounding through a powered denominator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .fixedpoint import ONE, ZERO, Dec
 
@@ -59,8 +59,7 @@ def max_exposure(alpha: Dec, delta: Dec) -> Dec:
     return (alpha * delta) / (delta - ONE)
 
 
-@dataclass(frozen=True)
-class LeverageQuote:
+class LeverageQuote(NamedTuple):
     """One spiral, fully evaluated."""
 
     alpha: Dec

@@ -13,8 +13,7 @@ form decodes only to states a stream can write; copy() copies any state.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from .events import (
     OrderingKey, _dec_any, _dec_fraction, _dec_index, _dec_nonneg, _dec_positive, _encode_canonical, is_valid_address,
@@ -30,8 +29,25 @@ class MissingPriceError(LookupError):
         self.symbol = symbol
 
 
-@dataclass
-class InterestModel:
+class _Record:
+    """The base of the state records: equality and a repr over __slots__,
+    in declaration order, as a dataclass would give them. A record equals
+    only a record of its own type with equal fields, and is unhashable."""
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class InterestModel(_Record):
     """Opaque interest metadata: a model identifier and parameter blob.
 
     Rates and indices are never derived from this; they arrive via
@@ -39,27 +55,45 @@ class InterestModel:
     history byte-for-byte.
     """
 
-    model_id: str = ""
-    params: dict[str, Dec] = field(default_factory=dict)
+    __slots__ = ("model_id", "params")
+
+    def __init__(self, model_id: str = "", params: dict[str, Dec] | None = None):
+        self.model_id = model_id
+        self.params = {} if params is None else params
 
 
-@dataclass
-class ProtocolParams:
+class ProtocolParams(_Record):
     """Protocol-wide parameters: the close factor, the one an event writes."""
 
-    close_factor: Dec = ZERO
+    __slots__ = ("close_factor",)
+
+    def __init__(self, close_factor: Dec = ZERO):
+        self.close_factor = close_factor
 
 
-@dataclass(slots=True)
-class MarketState:
+class MarketState(_Record):
     """Per-market aggregates and interest bookkeeping."""
 
-    interest_model: InterestModel = field(default_factory=InterestModel)
-    total_borrows: Dec = ZERO
-    total_ctoken_supply: Dec = ZERO
-    collateral_factor: Dec = ZERO
-    borrow_index: Dec = ONE
-    exchange_rate: Dec = ONE
+    __slots__ = (
+        "interest_model", "total_borrows", "total_ctoken_supply", "collateral_factor", "borrow_index",
+        "exchange_rate",
+    )
+
+    def __init__(
+        self,
+        interest_model: InterestModel | None = None,
+        total_borrows: Dec = ZERO,
+        total_ctoken_supply: Dec = ZERO,
+        collateral_factor: Dec = ZERO,
+        borrow_index: Dec = ONE,
+        exchange_rate: Dec = ONE,
+    ):
+        self.interest_model = InterestModel() if interest_model is None else interest_model
+        self.total_borrows = total_borrows
+        self.total_ctoken_supply = total_ctoken_supply
+        self.collateral_factor = collateral_factor
+        self.borrow_index = borrow_index
+        self.exchange_rate = exchange_rate
 
     @classmethod
     def listed(cls, symbol: str, exchange_rate: Dec, collateral_factor: Dec) -> "MarketState":
@@ -68,17 +102,19 @@ class MarketState:
         return cls(exchange_rate=exchange_rate, collateral_factor=collateral_factor)
 
 
-@dataclass(slots=True)
-class Position:
+class Position(_Record):
     """One account's holdings in one market.
 
     borrow_principal is denominated at the index captured in
     borrow_index_snapshot; the live balance is principal * index / snapshot.
     """
 
-    ctoken_balance: Dec = ZERO
-    borrow_principal: Dec = ZERO
-    borrow_index_snapshot: Dec = ONE
+    __slots__ = ("ctoken_balance", "borrow_principal", "borrow_index_snapshot")
+
+    def __init__(self, ctoken_balance: Dec = ZERO, borrow_principal: Dec = ZERO, borrow_index_snapshot: Dec = ONE):
+        self.ctoken_balance = ctoken_balance
+        self.borrow_principal = borrow_principal
+        self.borrow_index_snapshot = borrow_index_snapshot
 
     def accrued_borrow(self, borrow_index: Dec) -> Dec:
         """Borrow balance brought forward to the given index.
@@ -95,11 +131,13 @@ class Position:
         return self.ctoken_balance.is_zero() and self.borrow_principal.is_zero()
 
 
-@dataclass
-class PriceTable:
+class PriceTable(_Record):
     """USD prices per asset symbol."""
 
-    prices: dict[str, Dec] = field(default_factory=dict)
+    __slots__ = ("prices",)
+
+    def __init__(self, prices: dict[str, Dec] | None = None):
+        self.prices = {} if prices is None else prices
 
     def get(self, symbol: str) -> Dec:
         try:
@@ -113,20 +151,29 @@ class PriceTable:
         self.prices[symbol] = price
 
 
-@dataclass
-class GlobalState:
+class GlobalState(_Record):
     """Complete engine state between two events."""
 
-    markets: dict[str, MarketState] = field(default_factory=dict)
-    participants: dict[str, dict[str, Position]] = field(default_factory=dict)
-    price_table: PriceTable = field(default_factory=PriceTable)
-    params: ProtocolParams = field(default_factory=ProtocolParams)
-    cursor: OrderingKey | None = None
+    __slots__ = ("markets", "participants", "price_table", "params", "cursor")
+
+    def __init__(
+        self,
+        markets: dict[str, MarketState] | None = None,
+        participants: dict[str, dict[str, Position]] | None = None,
+        price_table: PriceTable | None = None,
+        params: ProtocolParams | None = None,
+        cursor: OrderingKey | None = None,
+    ):
+        self.markets = {} if markets is None else markets
+        self.participants = {} if participants is None else participants
+        self.price_table = PriceTable() if price_table is None else price_table
+        self.params = ProtocolParams() if params is None else params
+        self.cursor = cursor
 
     @classmethod
     def fresh(cls, params: ProtocolParams | None = None) -> "GlobalState":
         """Empty state ready to replay a stream from its first event."""
-        return cls(params=params if params is not None else ProtocolParams())
+        return cls(params=params)
 
     def position(self, account: str, symbol: str) -> Position | None:
         """One account's market position, or None if it holds none."""
@@ -135,18 +182,24 @@ class GlobalState:
 
     def copy(self) -> "GlobalState":
         """Deep copy, record by record; the immutable Decs and cursor are shared."""
-        return replace(
-            self,
+        return GlobalState(
             markets={
-                symbol: replace(m, interest_model=InterestModel(m.interest_model.model_id, dict(m.interest_model.params)))
+                symbol: MarketState(
+                    InterestModel(m.interest_model.model_id, dict(m.interest_model.params)),
+                    m.total_borrows, m.total_ctoken_supply, m.collateral_factor, m.borrow_index, m.exchange_rate,
+                )
                 for symbol, m in self.markets.items()
             },
             participants={
-                account: {symbol: replace(p) for symbol, p in holdings.items()}
+                account: {
+                    symbol: Position(p.ctoken_balance, p.borrow_principal, p.borrow_index_snapshot)
+                    for symbol, p in holdings.items()
+                }
                 for account, holdings in self.participants.items()
             },
             price_table=PriceTable(dict(self.price_table.prices)),
-            params=replace(self.params),
+            params=ProtocolParams(self.params.close_factor),
+            cursor=self.cursor,
         )
 
 
@@ -327,8 +380,7 @@ def dict_digest(data: dict[str, Any]) -> str:
 # -- Aggregate validation ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StateViolation:
+class StateViolation(NamedTuple):
     """One aggregate out of step with the positions backing it."""
 
     market: str

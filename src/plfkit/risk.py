@@ -8,9 +8,8 @@ exactly when the surplus is strictly negative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .fixedpoint import (
     MANTISSA_BOUND, ONE, SCALE, ZERO, Dec, DecOverflowError, checked, trunc_div, trunc_mul, trunc_muldiv,
@@ -18,8 +17,7 @@ from .fixedpoint import (
 from .model import GlobalState, MarketState, MissingPriceError, Position
 
 
-@dataclass(frozen=True)
-class AccountHealth:
+class AccountHealth(NamedTuple):
     """Valuations for one account, all in USD."""
 
     collateral_power_usd: Dec
@@ -429,8 +427,7 @@ def max_repay(state: GlobalState, borrower: str, symbol: str) -> Dec:
     return state.params.close_factor * accrued
 
 
-@dataclass(frozen=True)
-class SeizeQuote:
+class SeizeQuote(NamedTuple):
     """What a liquidator pays, receives, and clears."""
 
     repay_value_usd: Dec
@@ -464,8 +461,7 @@ def seize_quote_at_discount(
     )
 
 
-@dataclass(frozen=True)
-class SensitivityRow:
+class SensitivityRow(NamedTuple):
     """Liquidable exposure after one hypothetical price shock."""
 
     shock: Dec

@@ -9,8 +9,11 @@ two routes to the same numbers check each other. What it shares with the
 engine is ``fixedpoint``'s mantissa arithmetic (``checked``, ``trunc_mul``,
 ``trunc_muldiv``); the oracle values accounts on plain int mantissas.
 
-Spec and annotation documents are read back through ``events._decode_value``,
-so each default of a spec field is written once, in its dataclass below.
+Spec and annotation documents are read back through ``_decode_value``, the
+mirror of ``events._encode_value``, so each default of a spec field is
+written once, in its dataclass below. This is the package's one module
+that imports ``dataclasses``, and ``gen-scenario`` the one command that
+loads it.
 
 Randomness comes exclusively from ``random.Random`` seeded with the spec's
 seed: Mersenne Twister (MT19937), whose integer draws are stable across
@@ -20,9 +23,11 @@ for a given seed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from functools import cache
 from random import Random
-from typing import Any, Callable, Literal, Sequence
+from types import UnionType
+from typing import Any, Callable, Literal, Sequence, get_args, get_origin, get_type_hints
 
 from .events import (
     EventRecord,
@@ -30,7 +35,6 @@ from .events import (
     _dec_fraction,
     _dec_nonneg,
     _dec_positive,
-    _decode_value,
     _encode_canonical,
     _encode_value,
     is_valid_address,
@@ -119,13 +123,53 @@ def default_spec(seed: int, event_count: int = 400, accounts: int = 8) -> Scenar
     )
 
 
+# Cached per class: resolving the string annotations costs more than the
+# decode itself.
+@cache
+def _declared_fields(cls: type) -> tuple[tuple[str, Any, bool], ...]:
+    """Each field of a dataclass: its name, resolved type, and whether it
+    has no default."""
+    hints = get_type_hints(cls)
+    return tuple(
+        (f.name, hints[f.name], f.default is MISSING and f.default_factory is MISSING) for f in fields(cls)
+    )
+
+
+def _decode_value(hint: Any, raw: Any) -> Any:
+    """The mirror of :func:`events._encode_value`: plain JSON data read back as ``hint``.
+
+    A dataclass is built from the keys its fields name: an absent key takes
+    the field's declared default, a missing required one raises KeyError,
+    and keys it does not declare are ignored. A Dec is ``Dec(raw)``;
+    ``list[X]``, ``tuple[X, ...]``, ``dict[str, X]`` and ``X | None`` are
+    walked. Anything else (an int, a str, a Literal) is returned as it is,
+    for the caller to validate.
+    """
+    if hint is Dec:
+        return Dec(raw)
+    if is_dataclass(hint):
+        return hint(**{
+            name: _decode_value(field_hint, raw[name])
+            for name, field_hint, required in _declared_fields(hint)
+            if required or name in raw
+        })
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is list or origin is tuple:
+        return origin(_decode_value(args[0], item) for item in raw)
+    if origin is dict:
+        return {key: _decode_value(args[1], item) for key, item in raw.items()}
+    if origin is UnionType:
+        return None if raw is None else _decode_value(args[0], raw)
+    return raw
+
+
 def spec_to_dict(spec: ScenarioSpec) -> dict[str, Any]:
     """The spec as plain JSON data: its field names, with Decs as strings."""
     return _encode_value(spec)
 
 
 def spec_from_dict(data: dict[str, Any]) -> ScenarioSpec:
-    """The spec a plain JSON document describes; see ``events._decode_value``."""
+    """The spec a plain JSON document describes; see ``_decode_value``."""
     return _decode_value(ScenarioSpec, data)
 
 

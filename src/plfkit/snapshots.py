@@ -14,7 +14,7 @@ state back. This module is the file format alone.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .events import OrderingKey, _encode_canonical, _parse_json
 from .fixedpoint import DecOverflowError
@@ -40,8 +40,7 @@ class SnapshotDigestError(SnapshotError):
         self.actual = actual
 
 
-@dataclass(frozen=True)
-class SnapshotMeta:
+class SnapshotMeta(NamedTuple):
     """Header of a snapshot file."""
 
     format_version: int

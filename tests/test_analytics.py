@@ -1,5 +1,4 @@
 import tempfile
-from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -350,7 +349,7 @@ def with_gaps(data, events: list[EventRecord]) -> list[EventRecord]:
     for event in events:
         gap = data.draw(st.integers(0, 9)) if keyed else 0
         block, tx = (block, tx + 1) if gap == 0 else (block + gap, 0)
-        keyed.append(replace(event, key=OrderingKey(block, tx, 0)))
+        keyed.append(event._replace(key=OrderingKey(block, tx, 0)))
     return keyed
 
 

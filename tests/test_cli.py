@@ -1,8 +1,10 @@
 import csv
+import gc
 import json
 
 import pytest
 
+import plfkit.engine
 from plfkit.cli import main
 from plfkit.engine import replay
 from plfkit.events import write_events
@@ -561,6 +563,17 @@ class TestCommonBehavior:
         assert code == 0
         assert out == ""
         assert target.read_text().startswith("events_applied,")
+
+    def test_command_runs_with_the_collector_paused(self, capsys, files, tmp_path, monkeypatch):
+        # main pauses it around the whole command, and it runs again once
+        # main returns, whether or not the command failed.
+        seen = []
+        fold = plfkit.engine._fold
+        monkeypatch.setattr("plfkit.cli._fold", lambda *args: (seen.append(gc.isenabled()), fold(*args))[1])
+        assert gc.isenabled()
+        assert run(capsys, "replay", "--events", files["hand"])[0] == 0
+        assert run(capsys, "snapshot", "verify", "--snapshot", str(tmp_path / "none.snap"))[0] == 1
+        assert seen == [False] and gc.isenabled()
 
     def test_no_arguments_is_usage_error(self, capsys):
         assert run(capsys, )[0] == 2

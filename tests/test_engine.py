@@ -546,6 +546,24 @@ def test_importing_a_module_loads_only_its_dependencies():
     ]
 
 
+def test_only_the_generator_imports_dataclasses():
+    """No command but gen-scenario pays at start-up for dataclasses, or for
+    inspect, which it imports: the records outside the generator are named
+    tuples and slotted classes."""
+    code = (
+        "import sys\n"
+        "sys.path[:0] = [sys.argv[1]]\n"
+        "import plfkit.cli, plfkit.engine, plfkit.snapshots, plfkit.risk, plfkit.analytics, plfkit.leverage\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+        "import plfkit.scenarios\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(plfkit.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60)
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines() == ["[]", "True"]
+
+
 def test_one_event_fold_in_package_source():
     """engine._fold is the only loop that applies events: _apply is called
     only there and in apply_event, and no package code calls apply_event."""

@@ -5,20 +5,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from plfkit.engine import TransitionError, apply_event, state_digest
-from plfkit.events import OrderingKey, _encode_canonical, is_valid_address
+from plfkit.analytics import (
+    CdfPoint, ConcentrationReport, ConcentrationRow, EfficiencyTimeline, FundsRow, LiquidationRecord, Streak,
+)
+from plfkit.engine import ReplayReport, TransitionError, apply_event, state_digest
+from plfkit.events import EventRecord, OrderingKey, _encode_canonical, is_valid_address
 from plfkit.fixedpoint import ONE, ZERO, Dec
+from plfkit.leverage import LeverageQuote
 from plfkit.model import (
     GlobalState,
+    InterestModel,
     MarketState,
     MissingPriceError,
     Position,
     PriceTable,
     ProtocolParams,
+    StateViolation,
     state_from_dict,
     state_to_dict,
     validate_state,
 )
+from plfkit.risk import AccountHealth, SeizeQuote, SensitivityRow
+from plfkit.snapshots import SnapshotMeta
 from streams import ACCT_A, ACCT_B
 from test_analytics import SYMBOLS, books, draw_event
 
@@ -151,6 +159,74 @@ class TestGlobalState:
         where = f"state['participants']['{ACCT_B}']['DAI']['ctoken_balance']"
         with pytest.raises(ValueError, match=f"^{re.escape(where)}: amount must be non-negative$"):
             state_from_dict(form)
+
+
+# Each state record: a builder, and a field with another value to write.
+STATE_RECORDS = {
+    "InterestModel": (lambda: InterestModel("jump", {"base": Dec("0.02")}), "params", {}),
+    "ProtocolParams": (lambda: ProtocolParams(Dec("0.5")), "close_factor", ZERO),
+    "MarketState": (lambda: MarketState.listed("DAI", Dec("0.02"), Dec("0.75")), "total_borrows", Dec(1)),
+    "Position": (lambda: Position(Dec(5), Dec(1)), "borrow_index_snapshot", Dec(2)),
+    "PriceTable": (lambda: PriceTable({"DAI": Dec(1)}), "prices", {}),
+    "GlobalState": (small_state, "cursor", None),
+    "ReplayReport": (lambda: ReplayReport(3, "ab", ["w"]), "digest", None),
+    "EfficiencyTimeline": (lambda: EfficiencyTimeline(warnings=["w"]), "warnings", []),
+}
+
+RESULT_RECORDS = [
+    EventRecord, SnapshotMeta, StateViolation, AccountHealth, SeizeQuote, SensitivityRow, Streak,
+    LiquidationRecord, CdfPoint, ConcentrationRow, ConcentrationReport, FundsRow, LeverageQuote,
+]
+
+
+class TestRecords:
+    """The properties the dataclass decorator gave the records, kept by
+    slotted classes (state) and named tuples (results)."""
+
+    @pytest.mark.parametrize("name", sorted(STATE_RECORDS))
+    def test_state_record_has_value_equality(self, name):
+        build, field, other = STATE_RECORDS[name]
+        record = build()
+        assert record == build() and not record != build()
+        changed = build()
+        setattr(changed, field, other)
+        assert record != changed
+        with pytest.raises(AttributeError):
+            record.unknown_field = 1  # slotted: no instance dict
+
+    @pytest.mark.parametrize("name", sorted(STATE_RECORDS))
+    def test_state_record_equals_no_other_type(self, name):
+        record = STATE_RECORDS[name][0]()
+        cls = type(record)
+        twin = object.__new__(type("Twin", (cls,), {"__slots__": ()}))
+        for slot in cls.__slots__:
+            setattr(twin, slot, getattr(record, slot))
+        values = tuple(getattr(record, slot) for slot in cls.__slots__)
+        assert record != twin and twin != record
+        assert record != values and values != record
+        assert all(record != STATE_RECORDS[other][0]() for other in STATE_RECORDS if other != name)
+
+    @pytest.mark.parametrize("name", sorted(STATE_RECORDS))
+    def test_state_record_is_unhashable(self, name):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(STATE_RECORDS[name][0]())
+
+    @pytest.mark.parametrize("name", sorted(STATE_RECORDS))
+    def test_state_record_repr_names_every_field(self, name):
+        record = STATE_RECORDS[name][0]()
+        text = repr(record)
+        assert text.startswith(f"{name}(") and text.endswith(")")
+        for slot in type(record).__slots__:
+            assert f"{slot}={getattr(record, slot)!r}" in text
+
+    @pytest.mark.parametrize("cls", RESULT_RECORDS, ids=lambda cls: cls.__name__)
+    def test_result_record_is_an_immutable_named_tuple(self, cls):
+        record = cls._make(range(len(cls._fields)))
+        with pytest.raises(AttributeError):
+            setattr(record, cls._fields[0], -1)
+        assert record == tuple(range(len(cls._fields)))
+        assert list(record._asdict()) == list(cls._fields)
+        assert record._replace(**{cls._fields[-1]: -1})[-1] == -1
 
 
 class TestSerialization:
